@@ -1,0 +1,16 @@
+//! Records the compiler version and build profile for the result stamp.
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".to_owned());
+    let version = std::process::Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|s| s.trim().to_owned())
+        .unwrap_or_else(|| "unknown".to_owned());
+    println!("cargo:rustc-env=PERFBENCH_RUSTC_VERSION={version}");
+    let profile = std::env::var("PROFILE").unwrap_or_else(|_| "unknown".to_owned());
+    println!("cargo:rustc-env=PERFBENCH_PROFILE={profile}");
+    println!("cargo:rerun-if-changed=build.rs");
+}
