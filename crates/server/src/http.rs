@@ -3,14 +3,15 @@
 //! Just enough of the protocol for a JSON query service: one request per
 //! connection (`Connection: close` on every response), `Content-Length`
 //! bodies only (no chunked encoding), and hard limits everywhere — header
-//! block size, body size, and a socket read timeout so a stalled client
-//! cannot pin a worker. Header parsing is factored into pure functions
-//! ([`parse_request_head`], [`content_length`]) so the robustness proptests
-//! can hammer them without sockets.
+//! block size, body size, and a deadline on the whole request read so a
+//! stalled or trickling client cannot pin a worker. Header parsing is
+//! factored into pure functions ([`parse_request_head`],
+//! [`content_length`]) so the robustness proptests can hammer them without
+//! sockets.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Per-connection byte and time budgets.
 #[derive(Debug, Clone, Copy)]
@@ -19,8 +20,9 @@ pub struct Limits {
     pub max_head_bytes: usize,
     /// Maximum accepted `Content-Length`.
     pub max_body_bytes: usize,
-    /// Socket read timeout; a request that stalls longer than this is
-    /// answered with `408 Request Timeout`.
+    /// Time budget for reading the whole request (head and body); a
+    /// request not fully read within it is answered with
+    /// `408 Request Timeout`, however steadily its bytes trickle in.
     pub read_timeout: Duration,
 }
 
@@ -52,7 +54,7 @@ pub enum HttpError {
     Malformed(&'static str),
     /// The head or declared body exceeds the configured limits.
     TooLarge(&'static str),
-    /// The socket stalled past [`Limits::read_timeout`].
+    /// The request was not fully read within [`Limits::read_timeout`].
     Timeout,
     /// A body-carrying method arrived without `Content-Length`.
     LengthRequired,
@@ -184,9 +186,8 @@ pub fn content_length(head: &Head) -> Result<Option<usize>, HttpError> {
 /// Any [`HttpError`]; use [`HttpError::status`] to decide whether a
 /// response can still be written.
 pub fn read_request(stream: &mut TcpStream, limits: &Limits) -> Result<Request, HttpError> {
-    stream
-        .set_read_timeout(Some(limits.read_timeout))
-        .map_err(HttpError::Io)?;
+    // `None`: a budget too large to represent, i.e. no deadline at all.
+    let deadline = Instant::now().checked_add(limits.read_timeout);
 
     // Accumulate until the blank line; the buffer may already contain the
     // start of the body, which is carried over below.
@@ -199,10 +200,7 @@ pub fn read_request(stream: &mut TcpStream, limits: &Limits) -> Result<Request, 
             return Err(HttpError::TooLarge("header block"));
         }
         let mut chunk = [0u8; 1024];
-        let n = stream.read(&mut chunk).map_err(io_to_http)?;
-        if n == 0 {
-            return Err(HttpError::ConnectionClosed);
-        }
+        let n = read_before(stream, &mut chunk, deadline)?;
         buf.extend_from_slice(&chunk[..n]);
     };
     if head_end > limits.max_head_bytes {
@@ -227,10 +225,7 @@ pub fn read_request(stream: &mut TcpStream, limits: &Limits) -> Result<Request, 
             while body.len() < len {
                 let mut chunk = [0u8; 4096];
                 let want = (len - body.len()).min(chunk.len());
-                let n = stream.read(&mut chunk[..want]).map_err(io_to_http)?;
-                if n == 0 {
-                    return Err(HttpError::ConnectionClosed);
-                }
+                let n = read_before(stream, &mut chunk[..want], deadline)?;
                 body.extend_from_slice(&chunk[..n]);
             }
             body
@@ -242,6 +237,25 @@ pub fn read_request(stream: &mut TcpStream, limits: &Limits) -> Result<Request, 
         path: head.path,
         body,
     })
+}
+
+/// One `read` that must finish by `deadline`: the socket timeout is re-armed
+/// with the time left, so the deadline bounds the whole request rather
+/// than each read. Returns at least one byte.
+fn read_before(
+    stream: &mut TcpStream,
+    buf: &mut [u8],
+    deadline: Option<Instant>,
+) -> Result<usize, HttpError> {
+    let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+    if left.is_some_and(|d| d.is_zero()) {
+        return Err(HttpError::Timeout);
+    }
+    stream.set_read_timeout(left).map_err(HttpError::Io)?;
+    match stream.read(buf).map_err(io_to_http)? {
+        0 => Err(HttpError::ConnectionClosed),
+        n => Ok(n),
+    }
 }
 
 /// Byte offset of the `\r\n\r\n` separator, if present.

@@ -1,16 +1,18 @@
 //! The serving loop: bounded queue, worker pool, memoization, shedding.
 //!
-//! Architecture (one paragraph): the accept thread runs a non-blocking
-//! `accept` poll so it can observe shutdown requests between connections;
-//! accepted sockets go into a bounded [`VecDeque`] guarded by a mutex +
-//! condvar, and a fixed pool of scoped worker threads pops from it. When
-//! the queue is full the accept thread answers `429 Too Many Requests`
-//! (with `Retry-After`) inline and drops the connection — load is shed
-//! with a well-formed response, never a hang or a silent close. On
-//! shutdown (signal, [`ServerHandle::shutdown`], or the `stop` closure)
-//! the accept loop stops, the queue is marked closed, and workers drain
-//! every already-accepted connection before exiting, so no accepted
-//! request is ever dropped.
+//! Architecture (one paragraph): the accept thread blocks in `accept`, so
+//! a connection reaches the queue the moment it arrives; accepted sockets
+//! go into a bounded [`VecDeque`] guarded by a mutex + condvar, and a
+//! fixed pool of scoped worker threads pops from it. When the queue is
+//! full the connection is handed to a short-lived responder that answers
+//! `429 Too Many Requests` (with `Retry-After`) — load is shed with a
+//! well-formed response, never a hang or a silent close. Shutdown (signal,
+//! [`ServerHandle::shutdown`], or the `stop` closure) goes through one
+//! path: set the stop flag, then open a throwaway connection to the
+//! listener's own address so the blocked `accept` returns and sees the
+//! flag. The accept loop then stops, the queue is marked closed, and
+//! workers drain every already-accepted connection before exiting, so no
+//! queued request is ever dropped.
 //!
 //! Results are memoized in a sharded [`MemoCache`] keyed by
 //! [`QueryKey`] (endpoint + canonical network + workload fingerprint +
@@ -23,15 +25,23 @@ use crate::service::{self, ApiError, Endpoint, Query, QueryKey, ServiceLimits};
 use mbus_stats::cache::{CacheStats, MemoCache};
 use mbus_stats::parallel::available_workers;
 use std::collections::VecDeque;
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How long shed clients are told to back off.
 const RETRY_AFTER_SECONDS: u32 = 1;
-/// Accept-loop poll interval while idle.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// How often `run_until`'s watcher thread evaluates the `stop` closure.
+/// Off the request path: it bounds only how soon a drain starts once the
+/// closure turns true.
+const STOP_CHECK: Duration = Duration::from_millis(50);
+/// Pause after a failed `accept` (e.g. `EMFILE`), so an error that repeats
+/// at once cannot spin the accept thread. Off the request path: a
+/// successful `accept` never sleeps.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(5);
+/// Bound on the shutdown wake connection's connect.
+const WAKE_CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
 /// Cap on concurrent shed-responder threads; beyond it (an extreme flood)
 /// excess connections are dropped without a response.
 const MAX_SHED_RESPONDERS: u64 = 64;
@@ -87,6 +97,27 @@ struct Shared {
     http_limits: Limits,
     service_limits: ServiceLimits,
     shed_responders: std::sync::atomic::AtomicU64,
+    /// Where [`Shared::request_stop`] connects to wake a blocked `accept`:
+    /// the bound address, with an unspecified IP mapped to loopback.
+    wake: SocketAddr,
+}
+
+impl Shared {
+    fn stopping(&self) -> bool {
+        self.stop.load(Ordering::SeqCst)
+    }
+
+    /// The one shutdown path: sets the stop flag, then wakes the accept
+    /// thread with a throwaway connection to the listener. The accept
+    /// loop drops that connection unserved, so it is never counted.
+    fn request_stop(&self) {
+        if self.stop.swap(true, Ordering::SeqCst) {
+            return; // an earlier caller already woke the accept thread
+        }
+        // Success or failure, there is nothing to do with the stream: a
+        // refused connect means the listener is already gone.
+        let _ = TcpStream::connect_timeout(&self.wake, WAKE_CONNECT_TIMEOUT);
+    }
 }
 
 /// A bound, ready-to-run server.
@@ -106,9 +137,10 @@ pub struct ServerHandle {
 
 impl ServerHandle {
     /// Requests a graceful shutdown: the accept loop stops, queued and
-    /// in-flight requests finish, then `run` returns.
+    /// in-flight requests finish, then `run` returns. Blocks for at most
+    /// about a second while it connects to the listener to wake `accept`.
     pub fn shutdown(&self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
+        self.shared.request_stop();
     }
 
     /// Counter snapshot of the query cache.
@@ -140,6 +172,13 @@ impl Server {
     /// Propagates the bind failure.
     pub fn bind(config: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
+        let mut wake = listener.local_addr()?;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let per_shard = (config.cache_capacity / CACHE_SHARDS).max(1);
         let metrics = Metrics::new();
         let workers = config.workers.max(1);
@@ -157,6 +196,7 @@ impl Server {
                 http_limits: config.http_limits,
                 service_limits: config.service_limits,
                 shed_responders: std::sync::atomic::AtomicU64::new(0),
+                wake,
             }),
         })
     }
@@ -181,42 +221,64 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates listener configuration failures.
+    /// As [`Server::run_until`].
     pub fn run(self) -> std::io::Result<()> {
         self.run_until(|| false)
     }
 
-    /// Serves until `stop()` returns true (polled every few milliseconds)
-    /// or a [`ServerHandle::shutdown`] arrives, then drains gracefully.
+    /// Serves until `stop()` returns true or a [`ServerHandle::shutdown`]
+    /// arrives, then drains gracefully. A watcher thread evaluates `stop`
+    /// every 50 ms and takes the same wake path as `shutdown`, so the
+    /// interval delays only the start of the drain, never a request.
     ///
     /// # Errors
     ///
-    /// Propagates listener configuration failures.
-    pub fn run_until(self, stop: impl Fn() -> bool) -> std::io::Result<()> {
-        self.listener.set_nonblocking(true)?;
-        let shared = &self.shared;
+    /// None at present; the listener is fully configured by
+    /// [`Server::bind`].
+    pub fn run_until(self, stop: impl Fn() -> bool + Sync) -> std::io::Result<()> {
+        let shared = &*self.shared;
         std::thread::scope(|scope| {
             for _ in 0..self.workers {
                 scope.spawn(|| worker_loop(shared));
             }
-            while !stop() && !shared.stop.load(Ordering::SeqCst) {
-                match self.listener.accept() {
-                    Ok((stream, _peer)) => enqueue(&self.shared, self.queue_capacity, stream),
-                    Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(ACCEPT_POLL);
+            let watcher = scope.spawn(|| {
+                while !shared.stopping() {
+                    if stop() {
+                        shared.request_stop();
+                        return;
                     }
-                    Err(err) if err.kind() == std::io::ErrorKind::Interrupted => {}
-                    // Transient accept failures (e.g. per-connection
-                    // resets) must not kill the server.
-                    Err(_) => std::thread::sleep(ACCEPT_POLL),
+                    std::thread::park_timeout(STOP_CHECK);
                 }
-            }
+            });
+            self.accept_loop();
+            watcher.thread().unpark();
             let mut queue = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
             queue.closed = true;
             drop(queue);
             shared.available.notify_all();
         });
         Ok(())
+    }
+
+    /// Blocks in `accept` and enqueues each connection until the stop
+    /// flag is set. The flag is checked after every accept: the
+    /// connection that returns with it set (normally the wake connection
+    /// from [`Shared::request_stop`]) is dropped unserved.
+    fn accept_loop(&self) {
+        while !self.shared.stopping() {
+            match self.listener.accept() {
+                Ok((stream, _peer)) => {
+                    if self.shared.stopping() {
+                        break;
+                    }
+                    enqueue(&self.shared, self.queue_capacity, stream);
+                }
+                Err(err) if err.kind() == std::io::ErrorKind::Interrupted => {}
+                // Transient accept failures (per-connection resets, fd
+                // exhaustion) must not kill the server, nor spin it.
+                Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
+            }
+        }
     }
 }
 

@@ -3,8 +3,10 @@
 //! `std` exposes no signal API, so this module declares the C `signal(2)`
 //! entry point directly (libc is already linked by `std`) and installs a
 //! handler for `SIGINT`/`SIGTERM` that does the only async-signal-safe
-//! thing possible: set a static [`AtomicBool`]. The serving loop polls
-//! [`requested`] between accepts and drains gracefully once it flips.
+//! thing possible: set a static [`AtomicBool`]. `mbus serve` passes
+//! [`requested`] to `Server::run_until`, whose watcher thread checks it
+//! periodically and, once it flips, wakes the blocked `accept` and drains
+//! gracefully.
 //!
 //! This is the single `unsafe` island of the crate — the crate root denies
 //! `unsafe_code` and re-allows it for this module alone. On non-Unix

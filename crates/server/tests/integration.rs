@@ -1,14 +1,16 @@
 //! End-to-end tests: a real server on an ephemeral port, raw `TcpStream`
 //! clients, bit-identical comparison against direct library calls,
-//! saturation shedding, and graceful shutdown.
+//! saturation shedding, graceful shutdown, and prompt idle shutdown.
 
 use mbus_server::http::Limits;
 use mbus_server::service::{self, Endpoint, ServiceLimits};
 use mbus_server::{Server, ServerConfig, ServerHandle};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Binds on an ephemeral port and serves on a background thread.
 fn start(config: ServerConfig) -> (SocketAddr, ServerHandle, JoinHandle<std::io::Result<()>>) {
@@ -260,4 +262,79 @@ fn run_until_stop_closure_drains_and_returns() {
     assert_eq!(status, 200);
     stopped.store(true, std::sync::atomic::Ordering::SeqCst);
     join.join().expect("join").expect("clean exit");
+}
+
+/// Waits for the server thread to return `Ok`, failing (instead of
+/// hanging) if it has not within one second of `since`.
+fn returns_within_a_second(join: JoinHandle<std::io::Result<()>>, since: Instant) {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || tx.send(join.join()));
+    let left = Duration::from_secs(1).saturating_sub(since.elapsed());
+    let outcome = rx
+        .recv_timeout(left)
+        .unwrap_or_else(|_| panic!("run did not return within 1 s ({:?})", since.elapsed()));
+    outcome.expect("join").expect("clean exit");
+}
+
+#[test]
+fn idle_server_returns_promptly_after_shutdown() {
+    let (_addr, handle, join) = start(ServerConfig::default());
+    // Let the accept thread block before any request has ever arrived.
+    std::thread::sleep(Duration::from_millis(100));
+    let since = Instant::now();
+    handle.shutdown();
+    handle.shutdown(); // repeated calls are harmless
+    returns_within_a_second(join, since);
+}
+
+#[test]
+fn idle_run_until_returns_promptly_after_its_closure_turns_true() {
+    let server = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        ..ServerConfig::default()
+    })
+    .expect("bind");
+    let stopped = Arc::new(AtomicBool::new(false));
+    let flag = Arc::clone(&stopped);
+    let join = std::thread::spawn(move || server.run_until(|| flag.load(Ordering::SeqCst)));
+    std::thread::sleep(Duration::from_millis(100));
+    let since = Instant::now();
+    stopped.store(true, Ordering::SeqCst);
+    returns_within_a_second(join, since);
+}
+
+#[test]
+fn wildcard_bound_server_wakes_through_loopback() {
+    let server = Server::bind(ServerConfig {
+        addr: "0.0.0.0:0".to_owned(),
+        ..ServerConfig::default()
+    })
+    .expect("bind");
+    let port = server.local_addr().expect("addr").port();
+    let handle = server.handle();
+    let join = std::thread::spawn(move || server.run());
+    let (status, _) = send(SocketAddr::from(([127, 0, 0, 1], port)), "GET", "/metrics", "");
+    assert_eq!(status, 200);
+    let since = Instant::now();
+    handle.shutdown();
+    returns_within_a_second(join, since);
+}
+
+#[test]
+fn shutdown_wake_connection_is_never_served_or_counted() {
+    let (addr, handle, join) = start(ServerConfig::default());
+    let (status, _) = send(addr, "POST", "/v1/bandwidth", "{}");
+    assert_eq!(status, 200);
+    let (status, _) = send(addr, "POST", "/v1/bandwidth", "{}");
+    assert_eq!(status, 200);
+    let (status, text) = send(addr, "GET", "/metrics", "");
+    assert_eq!(status, 200);
+    assert!(text.contains("mbus_requests_total 2"), "{text}");
+    assert_eq!(handle.responses(), 3, "the /metrics request itself counts");
+    let since = Instant::now();
+    handle.shutdown();
+    returns_within_a_second(join, since);
+    assert_eq!(handle.responses(), 3, "shutdown must not add a response");
+    assert_eq!(handle.shed(), 0);
+    assert_eq!(handle.server_errors(), 0);
 }

@@ -9,6 +9,8 @@ use mbus_server::{Server, ServerConfig};
 use proptest::prelude::*;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 proptest! {
@@ -262,4 +264,46 @@ fn fuzzed_socket_payloads_never_hang_the_server() {
             assert!(response.contains("\"error\""), "{response}");
         }
     }
+}
+
+#[test]
+fn trickling_requests_get_408_within_the_whole_request_budget() {
+    let read_timeout = Duration::from_millis(400);
+    let addr = start(Limits {
+        read_timeout,
+        ..Limits::default()
+    });
+    // A valid head that would take about ten budgets to dribble in full;
+    // each byte arrives well inside the per-read timeout.
+    let head = format!("GET /metrics HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "y".repeat(8));
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let started = Instant::now();
+    let answered = Arc::new(AtomicBool::new(false));
+    let writer = {
+        let mut stream = stream.try_clone().expect("clone");
+        let answered = Arc::clone(&answered);
+        std::thread::spawn(move || {
+            for byte in head.bytes() {
+                if answered.load(Ordering::SeqCst) || stream.write_all(&[byte]).is_err() {
+                    return;
+                }
+                std::thread::sleep(read_timeout / 4);
+            }
+        })
+    };
+    let mut response = Vec::new();
+    let _ = stream.read_to_end(&mut response);
+    let elapsed = started.elapsed();
+    answered.store(true, Ordering::SeqCst);
+    writer.join().expect("writer");
+    let text = String::from_utf8_lossy(&response);
+    assert!(text.starts_with("HTTP/1.1 408 "), "{text}");
+    assert!(text.contains("\"kind\":\"timeout\""), "{text}");
+    assert!(
+        elapsed < read_timeout + Duration::from_secs(1),
+        "the budget covers the whole request, not each read: took {elapsed:?}"
+    );
 }
