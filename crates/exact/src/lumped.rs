@@ -22,13 +22,29 @@
 //!   partitions — reaching `N = 16, M = 8` in under a thousand states
 //!   where the unlumped chain needs `9^16 ≈ 1.8·10^15`.
 //!
-//! Transition weights are multinomial (fresh draws: idle `1 − r`, memory
-//! `j` w.p. `r·q_j`) times multivariate-hypergeometric service splits
-//! (`Π_t C(d_t, s_t) / C(D, S)` for a uniform `S = min(D, B)`-subset of
-//! the `D` requested memories), mirroring eq (2)'s request model and the
-//! same idealized bus arbiter as the unlumped chain. Outputs are
-//! validated against [`crate::markov`] wherever both fit (see
-//! `tests/differential.rs`).
+//! Both tiers run one builder, which splits every transition the way
+//! eq (2)'s request model does:
+//!
+//! 1. **Arrival stage.** A DFS over fresh-arrival counts (multinomial:
+//!    idle `1 − r`, memory `j` w.p. `r·q_j`; the orbit tier enumerates
+//!    non-increasing counts within each class of equal pending count and
+//!    multiplies by the class permutation multiplicity) accumulates the
+//!    weight of every *post-arrival totals* vector (sorted, in the orbit
+//!    tier).
+//! 2. **Service stage.** A uniform `S = min(D, B)`-subset of the `D`
+//!    requested memories is served (multivariate hypergeometric:
+//!    `Π_t C(d_t, s_t) / C(D, S)`), the same idealized arbiter as the
+//!    unlumped chain. The split depends only on the totals, not on the
+//!    state or on `r`, so each distinct totals vector's *service kernel* —
+//!    its `(next state, probability)` list — is computed once per call and
+//!    every row is `Σ_post w_post · kernel(post)`.
+//!
+//! Binomials and powers come from per-call tables filled by `choose_f64`
+//! and `powi` themselves. Rows are gathered in a dense accumulator and
+//! stored as CSR for the power iteration. New states are interned in
+//! sorted key order, so state numbering — and with it every output bit —
+//! is the same on every call. Outputs are validated against
+//! [`crate::markov`] wherever both fit (see `tests/differential.rs`).
 
 use crate::markov::{subsets_of_size, ResubmissionSteadyState, MAX_STATES};
 use crate::ExactError;
@@ -38,13 +54,15 @@ use mbus_workload::RequestMatrix;
 use std::collections::HashMap;
 
 /// A lumped state: per-memory pending counts (sorted descending in orbit
-/// mode).
+/// mode). Post-arrival totals share the representation.
 type State = Vec<u16>;
 
-/// Sparse chain: transition row, expected service, and pending total per
-/// state.
+/// Sparse chain in CSR form — row `s` is
+/// `entries[offsets[s]..offsets[s + 1]]`, `(target, p)` sorted by target —
+/// plus expected service and pending total per state.
 struct Chain {
-    rows: Vec<HashMap<usize, f64>>,
+    offsets: Vec<usize>,
+    entries: Vec<(usize, f64)>,
     served: Vec<f64>,
     pending: Vec<usize>,
 }
@@ -100,440 +118,394 @@ pub fn lumped_steady_state(
     // permutations too (exact fp equality; the uniform generator emits
     // identical 1/M entries).
     let orbit = m > 1 && row.iter().all(|&q| q.to_bits() == row[0].to_bits());
-    let chain = if orbit {
-        build_orbit_chain(net, n, m, r)?
-    } else {
-        build_labeled_chain(net, n, row, r)?
-    };
-    solve_steady_state(net, n, m, r, chain)
+    let chain = build_chain(net, n, row, r, orbit)?;
+    solve_steady_state(net, n, m, r, &chain)
 }
 
-/// Interns `state`, growing the reachable set; errs past the state budget.
-fn intern(
-    index: &mut HashMap<State, usize>,
-    states: &mut Vec<State>,
-    state: State,
-    m: usize,
-) -> Result<usize, ExactError> {
-    if let Some(&id) = index.get(&state) {
-        return Ok(id);
-    }
-    let id = states.len();
-    if id >= MAX_STATES {
-        return Err(ExactError::TooLarge {
-            memories: m,
-            limit: MAX_STATES,
-        });
-    }
-    index.insert(state.clone(), id);
-    states.push(state);
-    Ok(id)
+/// Largest `n` whose binomials are tabulated. Rows past it — reached only
+/// by chains with over a hundred processors — call `choose_f64` directly,
+/// so the table never outgrows `129²` entries.
+const CHOOSE_TABLE_N: usize = 128;
+
+/// Per-call weight tables. Every entry comes from `choose_f64` or `powi`
+/// itself, so the tabulated weights equal the direct calls bit for bit.
+struct Weights {
+    /// Row stride: `min(max(N, M), CHOOSE_TABLE_N) + 1`.
+    width: usize,
+    /// `C(n, k)` at `n * width + k`.
+    choose: Vec<f64>,
+    /// `(r·q_j)^a` at `j * (N + 1) + a`.
+    fresh: Vec<f64>,
+    /// `(1 − r)^a`.
+    idle: Vec<f64>,
 }
 
-/// Processor-lumped chain over labeled per-memory pending counts.
-fn build_labeled_chain(
+impl Weights {
+    fn new(n: usize, q: &[f64], r: f64, orbit: bool) -> Self {
+        let m = q.len();
+        let width = n.max(m).min(CHOOSE_TABLE_N) + 1;
+        let choose = (0..width * width)
+            .map(|i| choose_f64((i / width) as u64, (i % width) as u64))
+            .collect();
+        let pow = |base: f64| (0..=n).map(move |a| base.powi(i32::try_from(a).unwrap_or(i32::MAX)));
+        let fresh = q
+            .iter()
+            .flat_map(|&q_j| pow(if orbit { r / m as f64 } else { r * q_j }))
+            .collect();
+        Weights {
+            width,
+            choose,
+            fresh,
+            idle: pow(1.0 - r).collect(),
+        }
+    }
+
+    fn choose(&self, n: usize, k: usize) -> f64 {
+        if n < self.width {
+            self.choose[n * self.width + k]
+        } else {
+            choose_f64(n as u64, k as u64)
+        }
+    }
+
+    fn fresh(&self, j: usize, a: usize) -> f64 {
+        self.fresh[j * self.idle.len() + a]
+    }
+}
+
+/// Dense accumulator over ids with a touched list, so gathering a sparse
+/// vector costs only the entries it writes.
+#[derive(Default)]
+struct Accumulator {
+    values: Vec<f64>,
+    live: Vec<bool>,
+    touched: Vec<usize>,
+}
+
+impl Accumulator {
+    fn add(&mut self, id: usize, w: f64) {
+        if id >= self.values.len() {
+            self.values.resize(id + 1, 0.0);
+            self.live.resize(id + 1, false);
+        }
+        if !self.live[id] {
+            self.live[id] = true;
+            self.touched.push(id);
+        }
+        self.values[id] += w;
+    }
+
+    /// Appends the touched `(id, value)` pairs in ascending id order and
+    /// resets the accumulator.
+    fn drain_sorted_into(&mut self, out: &mut Vec<(usize, f64)>) {
+        self.touched.sort_unstable();
+        for &id in &self.touched {
+            out.push((id, self.values[id]));
+            self.values[id] = 0.0;
+            self.live[id] = false;
+        }
+        self.touched.clear();
+    }
+}
+
+/// The chain under construction: reachable states, the call-local
+/// service-kernel table, and the arrival DFS scratch.
+struct Builder {
+    orbit: bool,
+    capacity: usize,
+    weights: Weights,
+    index: HashMap<State, usize>,
+    states: Vec<State>,
+    /// Post-arrival totals → kernel id.
+    kernel_index: HashMap<State, usize>,
+    /// Totals whose kernels the current row discovered but has not built.
+    kernel_fresh: Vec<State>,
+    /// `S = min(D, B)` per kernel.
+    kernel_served: Vec<usize>,
+    /// Kernel `k` is `kernel_entries[kernel_offsets[k]..kernel_offsets[k + 1]]`.
+    kernel_offsets: Vec<usize>,
+    kernel_entries: Vec<(usize, f64)>,
+    /// Arrival DFS scratch: per-memory post-arrival totals, and their
+    /// sorted copy (the orbit tier's key).
+    post: Vec<u16>,
+    key: Vec<u16>,
+    /// Kernel id → accumulated arrival weight for the current row.
+    arrivals: Accumulator,
+}
+
+/// Builds the lumped chain: the orbit tier when `orbit`, else the
+/// processor-lumped tier over labeled memories with request row `q`.
+fn build_chain(
     net: &BusNetwork,
     n: usize,
     q: &[f64],
     r: f64,
+    orbit: bool,
 ) -> Result<Chain, ExactError> {
     let m = q.len();
-    let capacity = net.capacity();
-    let mut index: HashMap<State, usize> = HashMap::new();
-    let mut states: Vec<State> = Vec::new();
-    intern(&mut index, &mut states, vec![0u16; m], m)?;
+    let mut b = Builder {
+        orbit,
+        capacity: net.capacity(),
+        weights: Weights::new(n, q, r, orbit),
+        index: HashMap::new(),
+        states: Vec::new(),
+        kernel_index: HashMap::new(),
+        kernel_fresh: Vec::new(),
+        kernel_served: Vec::new(),
+        kernel_offsets: vec![0],
+        kernel_entries: Vec::new(),
+        post: vec![0; m],
+        key: vec![0; m],
+        arrivals: Accumulator::default(),
+    };
+    b.intern(vec![0; m])?;
 
-    let mut rows: Vec<HashMap<usize, f64>> = Vec::new();
-    let mut served = Vec::new();
-    let mut pending = Vec::new();
+    let mut chain = Chain {
+        offsets: vec![0],
+        entries: Vec::new(),
+        served: Vec::new(),
+        pending: Vec::new(),
+    };
+    let mut row = Accumulator::default();
+    let mut weighted = Vec::new();
     let mut s = 0;
-    while s < states.len() {
-        let state = states[s].clone();
-        let pending_count: usize = state.iter().map(|&c| usize::from(c)).sum();
-        let free = n - pending_count;
-        let mut served_exp = 0.0;
-        let mut out: HashMap<State, f64> = HashMap::new();
-        let mut arrivals = vec![0u16; m];
-        labeled_arrivals(
-            0,
-            free,
-            1.0,
-            r,
-            q,
-            &state,
-            &mut arrivals,
-            capacity,
-            &mut served_exp,
-            &mut out,
+    while s < b.states.len() {
+        let state = b.states[s].clone();
+        let pending: usize = state.iter().map(|&c| usize::from(c)).sum();
+        b.arrive(&state, 0, usize::MAX, n - pending, 1.0);
+        b.build_fresh_kernels()?;
+
+        weighted.clear();
+        b.arrivals.drain_sorted_into(&mut weighted);
+        let mut served = 0.0;
+        for &(k, w) in &weighted {
+            served += w * b.kernel_served[k] as f64;
+            for &(t, p) in &b.kernel_entries[b.kernel_offsets[k]..b.kernel_offsets[k + 1]] {
+                row.add(t, w * p);
+            }
+        }
+        let start = chain.entries.len();
+        row.drain_sorted_into(&mut chain.entries);
+        debug_assert!(
+            (chain.entries[start..].iter().map(|&(_, p)| p).sum::<f64>() - 1.0).abs() < 1e-9,
+            "lumped transition row must be stochastic"
         );
-        rows.push(index_row(&mut index, &mut states, out, m)?);
-        served.push(served_exp);
-        pending.push(pending_count);
+        chain.offsets.push(chain.entries.len());
+        chain.served.push(served);
+        chain.pending.push(pending);
         s += 1;
     }
-    Ok(Chain {
-        rows,
-        served,
-        pending,
-    })
+    Ok(chain)
 }
 
-/// DFS over per-memory fresh-arrival counts: memory `j` receives `a_j`
-/// fresh requests with multinomial weight `Π_j C(rem_j, a_j)·(r·q_j)^{a_j}
-/// · (1 − r)^{idle}` (the telescoping-binomial form of eq (2)'s
-/// independent draws).
-#[allow(clippy::too_many_arguments)] // flat DFS state beats a one-off struct here
-fn labeled_arrivals(
-    j: usize,
-    rem: usize,
-    weight: f64,
-    r: f64,
-    q: &[f64],
-    state: &[u16],
-    arrivals: &mut Vec<u16>,
-    capacity: usize,
-    served_exp: &mut f64,
-    out: &mut HashMap<State, f64>,
-) {
-    if weight == 0.0 {
-        return;
-    }
-    if j == q.len() {
-        let idle_weight = weight * (1.0 - r).powi(i32::try_from(rem).unwrap_or(i32::MAX));
-        labeled_outcome(state, arrivals, idle_weight, capacity, served_exp, out);
-        return;
-    }
-    let p_j = r * q[j];
-    for a in 0..=rem {
-        let w = weight
-            * choose_f64(rem as u64, a as u64)
-            * p_j.powi(i32::try_from(a).unwrap_or(i32::MAX));
-        if w == 0.0 && a > 0 {
-            break;
+impl Builder {
+    /// Interns `state`, growing the reachable set; errs past the state
+    /// budget.
+    fn intern(&mut self, state: State) -> Result<usize, ExactError> {
+        if let Some(&id) = self.index.get(&state) {
+            return Ok(id);
         }
-        arrivals[j] = a as u16;
-        labeled_arrivals(
-            j + 1,
-            rem - a,
-            w,
-            r,
-            q,
-            state,
-            arrivals,
-            capacity,
-            served_exp,
-            out,
-        );
+        let id = self.states.len();
+        if id >= MAX_STATES {
+            return Err(ExactError::TooLarge {
+                memories: state.len(),
+                limit: MAX_STATES,
+            });
+        }
+        self.index.insert(state.clone(), id);
+        self.states.push(state);
+        Ok(id)
     }
-    arrivals[j] = 0;
+
+    /// Arrival-stage DFS over per-memory fresh-arrival counts: memory `i`
+    /// receives `a` of the `rem` idle processors' requests with weight
+    /// `C(rem, a)·(r·q_i)^a`, and the processors left over stay idle with
+    /// `(1 − r)^{rem}` (the telescoping-binomial form of eq (2)'s
+    /// independent draws). In the orbit tier, counts are non-increasing
+    /// within each class of equal pending count (`prev` is the previous
+    /// member's count), so each memory orbit is enumerated once.
+    fn arrive(&mut self, state: &[u16], i: usize, prev: usize, rem: usize, weight: f64) {
+        if weight == 0.0 {
+            return;
+        }
+        if i == state.len() {
+            let mut leaf = weight * self.weights.idle[rem];
+            if self.orbit {
+                leaf *= orbit_multiplicity(state, &self.post, &self.weights);
+            }
+            self.record(leaf);
+            return;
+        }
+        let bound = if self.orbit && i > 0 && state[i] == state[i - 1] {
+            prev.min(rem)
+        } else {
+            rem
+        };
+        for a in 0..=bound {
+            let w = weight * self.weights.choose(rem, a) * self.weights.fresh(i, a);
+            if w == 0.0 && a > 0 {
+                break;
+            }
+            self.post[i] = state[i] + a as u16;
+            self.arrive(state, i + 1, a, rem - a, w);
+        }
+    }
+
+    /// Adds one arrival outcome's weight to its post-arrival totals'
+    /// kernel, registering the kernel on first sight.
+    fn record(&mut self, weight: f64) {
+        if weight == 0.0 {
+            return;
+        }
+        let key: &[u16] = if self.orbit {
+            self.key.copy_from_slice(&self.post);
+            self.key.sort_unstable_by(|a, b| b.cmp(a));
+            &self.key
+        } else {
+            &self.post
+        };
+        let id = match self.kernel_index.get(key) {
+            Some(&id) => id,
+            None => {
+                let id = self.kernel_index.len();
+                self.kernel_index.insert(key.to_vec(), id);
+                self.kernel_fresh.push(key.to_vec());
+                id
+            }
+        };
+        self.arrivals.add(id, weight);
+    }
+
+    /// Service stage for every kernel the last DFS discovered, in
+    /// discovery order; each kernel's next states are interned in sorted
+    /// key order so numbering never depends on hash iteration.
+    fn build_fresh_kernels(&mut self) -> Result<(), ExactError> {
+        let mut outcomes = Vec::new();
+        for totals in std::mem::take(&mut self.kernel_fresh) {
+            let served = if self.orbit {
+                orbit_service(&totals, self.capacity, &self.weights, &mut outcomes)
+            } else {
+                labeled_service(&totals, self.capacity, &mut outcomes)
+            };
+            outcomes.sort_unstable_by(|a: &(State, f64), b| a.0.cmp(&b.0));
+            for (next, p) in outcomes.drain(..) {
+                let id = self.intern(next)?;
+                self.kernel_entries.push((id, p));
+            }
+            self.kernel_served.push(served);
+            self.kernel_offsets.push(self.kernel_entries.len());
+        }
+        Ok(())
+    }
 }
 
-/// Service stage for one labeled arrival outcome: a uniform
-/// `min(D, B)`-subset of the requested memories is served; each served
-/// memory's count drops by one.
-fn labeled_outcome(
-    state: &[u16],
-    arrivals: &[u16],
-    weight: f64,
-    capacity: usize,
-    served_exp: &mut f64,
-    out: &mut HashMap<State, f64>,
-) {
-    if weight == 0.0 {
-        return;
+/// Orbit tier: how many labeled arrival assignments share this outcome —
+/// per class of equal pending count, `class_size! / Π_a (run of a)!`, as
+/// a product of binomials over the runs.
+fn orbit_multiplicity(state: &[u16], post: &[u16], weights: &Weights) -> f64 {
+    let mut perm = 1.0;
+    let mut seen = 0;
+    let mut run = 0;
+    for i in 0..state.len() {
+        run += 1;
+        let class_ends = i + 1 == state.len() || state[i + 1] != state[i];
+        if class_ends || post[i + 1] != post[i] {
+            seen += run;
+            perm *= weights.choose(seen, run);
+            run = 0;
+            if class_ends {
+                seen = 0;
+            }
+        }
     }
-    let totals: Vec<u16> = state.iter().zip(arrivals).map(|(&c, &a)| c + a).collect();
+    perm
+}
+
+/// Labeled service kernel: a uniform `min(D, B)`-subset of the requested
+/// memories is served; each served memory's count drops by one. Returns
+/// the number served.
+fn labeled_service(totals: &[u16], capacity: usize, out: &mut Vec<(State, f64)>) -> usize {
     let requested: Vec<usize> = (0..totals.len()).filter(|&j| totals[j] > 0).collect();
-    let d = requested.len();
-    let s_count = d.min(capacity);
-    *served_exp += weight * s_count as f64;
-    if s_count == d {
-        let mut next = totals;
-        for &j in &requested {
-            next[j] -= 1;
-        }
-        *out.entry(next).or_insert(0.0) += weight;
-        return;
-    }
+    let s_count = requested.len().min(capacity);
     let subsets = subsets_of_size(&requested, s_count);
-    let share = weight / subsets.len() as f64;
+    let share = 1.0 / subsets.len() as f64;
     for subset in &subsets {
-        let mut next = totals.clone();
+        let mut next = totals.to_vec();
         for &j in subset {
             next[j] -= 1;
         }
-        *out.entry(next).or_insert(0.0) += share;
+        out.push((next, share));
     }
+    s_count
 }
 
-/// Orbit-lumped chain over sorted pending-count multisets (uniform rows:
-/// both processors and memories exchangeable).
-fn build_orbit_chain(net: &BusNetwork, n: usize, m: usize, r: f64) -> Result<Chain, ExactError> {
-    let capacity = net.capacity();
-    let mut index: HashMap<State, usize> = HashMap::new();
-    let mut states: Vec<State> = Vec::new();
-    intern(&mut index, &mut states, vec![0u16; m], m)?;
-
-    let mut rows: Vec<HashMap<usize, f64>> = Vec::new();
-    let mut served = Vec::new();
-    let mut pending = Vec::new();
-    let mut s = 0;
-    while s < states.len() {
-        let state = states[s].clone();
-        let pending_count: usize = state.iter().map(|&c| usize::from(c)).sum();
-        let free = n - pending_count;
-        // Classes of memories with equal pending count (state is sorted
-        // descending, so classes are contiguous runs).
-        let mut classes: Vec<(u16, usize)> = Vec::new();
-        for &v in &state {
-            match classes.last_mut() {
-                Some((value, count)) if *value == v => *count += 1,
-                _ => classes.push((v, 1)),
-            }
-        }
-        let mut served_exp = 0.0;
-        let mut out: HashMap<State, f64> = HashMap::new();
-        let mut arrivals: Vec<Vec<u16>> = classes.iter().map(|&(_, c)| vec![0u16; c]).collect();
-        orbit_arrivals(
-            0,
-            free,
-            1.0,
-            r,
-            m,
-            &classes,
-            &mut arrivals,
-            capacity,
-            &mut served_exp,
-            &mut out,
-        );
-        rows.push(index_row(&mut index, &mut states, out, m)?);
-        served.push(served_exp);
-        pending.push(pending_count);
-        s += 1;
-    }
-    Ok(Chain {
-        rows,
-        served,
-        pending,
-    })
-}
-
-/// DFS over per-class arrival *multisets* (non-increasing within a class to
-/// enumerate each memory-orbit once), weighting by the multinomial labeled
-/// probability times the class permutation multiplicity `m_v!/Π_a n_a!`.
-#[allow(clippy::too_many_arguments)] // flat DFS state beats a one-off struct here
-fn orbit_arrivals(
-    ci: usize,
-    rem: usize,
-    weight: f64,
-    r: f64,
-    m: usize,
-    classes: &[(u16, usize)],
-    arrivals: &mut [Vec<u16>],
+/// Orbit service kernel for sorted-descending `totals`: the uniform
+/// `S`-subset splits multivariate-hypergeometrically across equal-total
+/// classes (`Π_t C(d_t, s_t) / C(D, S)`). Returns the number served.
+fn orbit_service(
+    totals: &[u16],
     capacity: usize,
-    served_exp: &mut f64,
-    out: &mut HashMap<State, f64>,
-) {
-    if weight == 0.0 {
-        return;
-    }
-    if ci == classes.len() {
-        let idle_weight = weight * (1.0 - r).powi(i32::try_from(rem).unwrap_or(i32::MAX));
-        orbit_outcome(classes, arrivals, idle_weight, capacity, served_exp, out);
-        return;
-    }
-    let class_size = classes[ci].1;
-    orbit_class_member(
-        ci, 0, usize::MAX, rem, weight, r, m, classes, arrivals, capacity, served_exp, out,
-    );
-    // Reset this class's scratch (callee leaves last assignment behind).
-    for a in arrivals[ci].iter_mut().take(class_size) {
-        *a = 0;
-    }
-}
-
-/// Assigns arrival counts to the members of class `ci` in non-increasing
-/// order, then recurses into the next class with the permutation factor
-/// applied.
-#[allow(clippy::too_many_arguments)] // flat DFS state beats a one-off struct here
-fn orbit_class_member(
-    ci: usize,
-    k: usize,
-    prev: usize,
-    rem: usize,
-    weight: f64,
-    r: f64,
-    m: usize,
-    classes: &[(u16, usize)],
-    arrivals: &mut [Vec<u16>],
-    capacity: usize,
-    served_exp: &mut f64,
-    out: &mut HashMap<State, f64>,
-) {
-    let class_size = classes[ci].1;
-    if k == class_size {
-        // Multiplicity: how many labeled assignments within the class share
-        // this multiset — `class_size! / Π_a (run of a)!`, as a product of
-        // binomials over the runs.
-        let mut perm = 1.0;
-        let mut left = class_size;
-        let mut run = 0usize;
-        for i in 0..class_size {
-            run += 1;
-            let next_differs = i + 1 == class_size || arrivals[ci][i + 1] != arrivals[ci][i];
-            if next_differs {
-                perm *= choose_f64(left as u64, run as u64);
-                left -= run;
-                run = 0;
-            }
-        }
-        orbit_arrivals(
-            ci + 1,
-            rem,
-            weight * perm,
-            r,
-            m,
-            classes,
-            arrivals,
-            capacity,
-            served_exp,
-            out,
-        );
-        return;
-    }
-    let p_j = r / m as f64;
-    for a in 0..=prev.min(rem) {
-        let w = weight
-            * choose_f64(rem as u64, a as u64)
-            * p_j.powi(i32::try_from(a).unwrap_or(i32::MAX));
-        if w == 0.0 && a > 0 {
-            break;
-        }
-        arrivals[ci][k] = a as u16;
-        orbit_class_member(
-            ci,
-            k + 1,
-            a,
-            rem - a,
-            w,
-            r,
-            m,
-            classes,
-            arrivals,
-            capacity,
-            served_exp,
-            out,
-        );
-    }
-}
-
-/// Service stage for one orbit arrival outcome: totals are histogrammed by
-/// value, and the uniform `S`-subset splits multivariate-hypergeometrically
-/// across equal-total classes (`Π_t C(d_t, s_t) / C(D, S)`).
-fn orbit_outcome(
-    classes: &[(u16, usize)],
-    arrivals: &[Vec<u16>],
-    weight: f64,
-    capacity: usize,
-    served_exp: &mut f64,
-    out: &mut HashMap<State, f64>,
-) {
-    if weight == 0.0 {
-        return;
-    }
-    // Histogram of post-arrival totals t -> d_t (t > 0 only), plus zeros.
-    let mut histogram: HashMap<u16, usize> = HashMap::new();
-    let mut zeros = 0usize;
-    for (&(v, _), class_arrivals) in classes.iter().zip(arrivals) {
-        for &a in class_arrivals {
-            let t = v + a;
-            if t == 0 {
-                zeros += 1;
-            } else {
-                *histogram.entry(t).or_insert(0) += 1;
-            }
+    weights: &Weights,
+    out: &mut Vec<(State, f64)>,
+) -> usize {
+    // (t, d_t) for t > 0, ascending in t.
+    let mut classes: Vec<(u16, usize)> = Vec::new();
+    for &t in totals.iter().rev().filter(|&&t| t > 0) {
+        match classes.last_mut() {
+            Some((value, count)) if *value == t => *count += 1,
+            _ => classes.push((t, 1)),
         }
     }
-    let mut totals: Vec<(u16, usize)> = histogram.into_iter().collect();
-    totals.sort_unstable();
-    let d: usize = totals.iter().map(|&(_, c)| c).sum();
+    let d: usize = classes.iter().map(|&(_, c)| c).sum();
     let s_count = d.min(capacity);
-    *served_exp += weight * s_count as f64;
-    let denominator = choose_f64(d as u64, s_count as u64);
-    let mut split = vec![0usize; totals.len()];
-    orbit_split(
-        0,
-        s_count,
-        weight / denominator,
-        &totals,
-        zeros,
-        &mut split,
-        out,
-    );
+    let start = out.len();
+    let mut split = vec![0; classes.len()];
+    orbit_split(0, s_count, 1.0, &classes, &mut split, weights, out);
+    let denominator = weights.choose(d, s_count);
+    for (next, p) in &mut out[start..] {
+        // Idle memories (total 0) sort last.
+        next.resize(totals.len(), 0);
+        *p /= denominator;
+    }
+    s_count
 }
 
-/// DFS over service splits `{s_t}` with `Σ s_t = S`, `0 ≤ s_t ≤ d_t`.
+/// DFS over service splits `{s_t}` with `Σ s_t = S`, `0 ≤ s_t ≤ d_t`,
+/// emitting each next state's requested part (sorted descending) with
+/// weight `Π_t C(d_t, s_t)`.
 fn orbit_split(
     ti: usize,
     remaining: usize,
     weight: f64,
-    totals: &[(u16, usize)],
-    zeros: usize,
-    split: &mut Vec<usize>,
-    out: &mut HashMap<State, f64>,
+    classes: &[(u16, usize)],
+    split: &mut [usize],
+    weights: &Weights,
+    out: &mut Vec<(State, f64)>,
 ) {
-    if ti == totals.len() {
+    if ti == classes.len() {
         if remaining > 0 {
             return;
         }
-        // Build the sorted-descending next state.
-        let mut next: State = Vec::with_capacity(zeros + totals.iter().map(|&(_, c)| c).sum::<usize>());
-        for (&(t, d_t), &s_t) in totals.iter().zip(split.iter()) {
-            for _ in 0..s_t {
-                next.push(t - 1);
-            }
-            for _ in 0..(d_t - s_t) {
-                next.push(t);
-            }
+        let mut next: State = Vec::new();
+        for (&(t, d_t), &s_t) in classes.iter().zip(split.iter()) {
+            next.extend(std::iter::repeat_n(t - 1, s_t));
+            next.extend(std::iter::repeat_n(t, d_t - s_t));
         }
-        next.resize(next.len() + zeros, 0);
         next.sort_unstable_by(|a, b| b.cmp(a));
-        *out.entry(next).or_insert(0.0) += weight;
+        out.push((next, weight));
         return;
     }
-    let (_, d_t) = totals[ti];
-    let max_here = d_t.min(remaining);
+    let (_, d_t) = classes[ti];
     // Feasibility: later classes must be able to absorb the rest.
-    let later_capacity: usize = totals[ti + 1..].iter().map(|&(_, c)| c).sum();
-    for s_t in 0..=max_here {
+    let later_capacity: usize = classes[ti + 1..].iter().map(|&(_, c)| c).sum();
+    for s_t in 0..=d_t.min(remaining) {
         if remaining - s_t > later_capacity {
             continue;
         }
         split[ti] = s_t;
-        let w = weight * choose_f64(d_t as u64, s_t as u64);
-        orbit_split(ti + 1, remaining - s_t, w, totals, zeros, split, out);
+        let w = weight * weights.choose(d_t, s_t);
+        orbit_split(ti + 1, remaining - s_t, w, classes, split, weights, out);
     }
-    split[ti] = 0;
-}
-
-/// Converts a state-keyed row into an index-keyed row, interning newly
-/// discovered states.
-fn index_row(
-    index: &mut HashMap<State, usize>,
-    states: &mut Vec<State>,
-    out: HashMap<State, f64>,
-    m: usize,
-) -> Result<HashMap<usize, f64>, ExactError> {
-    debug_assert!(
-        (out.values().sum::<f64>() - 1.0).abs() < 1e-9,
-        "lumped transition row must be stochastic"
-    );
-    let mut row = HashMap::with_capacity(out.len());
-    for (state, p) in out {
-        let id = intern(index, states, state, m)?;
-        *row.entry(id).or_insert(0.0) += p;
-    }
-    Ok(row)
 }
 
 /// Power iteration + Little's-law outputs, identical in form to the
@@ -543,19 +515,18 @@ fn solve_steady_state(
     n: usize,
     m: usize,
     r: f64,
-    chain: Chain,
+    chain: &Chain,
 ) -> Result<ResubmissionSteadyState, ExactError> {
-    let state_count = chain.rows.len();
+    let state_count = chain.served.len();
     let mut pi = vec![1.0 / state_count as f64; state_count];
     let mut next = vec![0.0f64; state_count];
     for _ in 0..20_000 {
         next.iter_mut().for_each(|v| *v = 0.0);
-        for (s, row) in chain.rows.iter().enumerate() {
-            let mass = pi[s];
+        for (&mass, bounds) in pi.iter().zip(chain.offsets.windows(2)) {
             if mass == 0.0 {
                 continue;
             }
-            for (&t, &p) in row {
+            for &(t, p) in &chain.entries[bounds[0]..bounds[1]] {
                 next[t] += mass * p;
             }
         }
@@ -656,6 +627,70 @@ mod tests {
         assert!(ss.mean_wait > 1.0);
     }
 
+    /// Solves with the tier forced, bypassing the automatic choice.
+    fn solve_tier(n: usize, m: usize, b: usize, r: f64, orbit: bool) -> ResubmissionSteadyState {
+        let matrix = UniformModel::new(n, m).unwrap().matrix();
+        let net = BusNetwork::new(n, m, b, ConnectionScheme::Full).unwrap();
+        let chain = build_chain(&net, n, matrix.row(0), r, orbit).unwrap();
+        solve_steady_state(&net, n, m, r, &chain).unwrap()
+    }
+
+    #[test]
+    fn labeled_tier_matches_orbit_tier_beyond_the_unlumped_chain() {
+        // Uniform rows admit both tiers; the labeled tier keeps memory
+        // labels, so agreement checks the orbit multiplicities and sorted
+        // service splits at sizes the unlumped oracle cannot reach.
+        for (n, m, b) in [(8, 4, 2), (10, 5, 3), (12, 4, 3)] {
+            for r in [0.3, 0.7, 1.0] {
+                let labeled = solve_tier(n, m, b, r, false);
+                let orbit = solve_tier(n, m, b, r, true);
+                assert!(orbit.states < labeled.states, "{n}x{m}x{b} r={r}");
+                for (label, a, o) in [
+                    ("throughput", labeled.throughput, orbit.throughput),
+                    ("mean_pending", labeled.mean_pending, orbit.mean_pending),
+                    ("mean_active", labeled.mean_active, orbit.mean_active),
+                    ("mean_wait", labeled.mean_wait, orbit.mean_wait),
+                ] {
+                    assert!(
+                        (a - o).abs() < 1e-9,
+                        "{n}x{m}x{b} r={r} {label}: labeled {a} vs orbit {o}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn repeated_calls_are_bit_identical() {
+        // State numbering, row order and summation order must not depend
+        // on hash iteration order: both tiers, eight calls each.
+        let cases = [
+            (
+                UniformModel::new(10, 5).unwrap().matrix(),
+                BusNetwork::new(10, 5, 3, ConnectionScheme::Full).unwrap(),
+            ),
+            (
+                mbus_workload::RequestMatrix::from_rows(vec![vec![0.5, 0.3, 0.2]; 4]).unwrap(),
+                BusNetwork::new(4, 3, 2, ConnectionScheme::Full).unwrap(),
+            ),
+        ];
+        let bits = |s: &ResubmissionSteadyState| {
+            (
+                s.states,
+                s.throughput.to_bits(),
+                s.mean_pending.to_bits(),
+                s.mean_active.to_bits(),
+                s.mean_wait.to_bits(),
+            )
+        };
+        for (matrix, net) in &cases {
+            let first = bits(&lumped_steady_state(net, matrix, 0.7).unwrap());
+            for _ in 1..8 {
+                assert_eq!(bits(&lumped_steady_state(net, matrix, 0.7).unwrap()), first);
+            }
+        }
+    }
+
     #[test]
     fn saturated_single_bus_hand_check() {
         // Uniform 4×2, B = 1, r = 1: the bus is always busy once warm.
@@ -663,6 +698,21 @@ mod tests {
         let net = BusNetwork::new(4, 2, 1, ConnectionScheme::Full).unwrap();
         let ss = lumped_steady_state(&net, &matrix, 1.0).unwrap();
         assert!((ss.throughput - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn processor_counts_past_the_binomial_table_hand_check() {
+        // N = 200 > CHOOSE_TABLE_N exercises the direct `choose_f64` rows.
+        // One memory, one bus, r = 1: all N processors request every cycle
+        // and one is served, so the chain settles at N − 1 pending.
+        let n = 200;
+        let matrix = UniformModel::new(n, 1).unwrap().matrix();
+        let net = BusNetwork::new(n, 1, 1, ConnectionScheme::Full).unwrap();
+        let ss = lumped_steady_state(&net, &matrix, 1.0).unwrap();
+        assert_eq!(ss.states, 2);
+        assert!((ss.throughput - 1.0).abs() < 1e-9);
+        assert!((ss.mean_pending - (n - 1) as f64).abs() < 1e-9);
+        assert!((ss.mean_wait - (n - 1) as f64).abs() < 1e-9);
     }
 
     #[test]
