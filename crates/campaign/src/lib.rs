@@ -8,10 +8,11 @@
 //! fail — exhaustively while the combination count is small, by seeded
 //! Monte-Carlo sampling beyond [`CampaignConfig::exhaustive_limit`] — and
 //! aggregates mean/min/max bandwidth, accessible-memory fractions, and the
-//! worst-case mask per level. Mask evaluations run over the work-stealing
-//! pool through [`mbus_stats::parallel::parallel_map_dynamic`] — level
-//! costs are wildly uneven (`C(B, f)` peaks at `f = B/2`), exactly the
-//! shape stealing flattens.
+//! worst-case mask per level. Mask evaluations run over the worker pool
+//! through [`mbus_stats::parallel::parallel_map_dynamic`] — level costs
+//! are wildly uneven (`C(B, f)` peaks at `f = B/2`), and workers claiming
+//! one mask at a time keep the expensive ones from piling up on one
+//! thread.
 //!
 //! For bus-permutation-symmetric schemes (full, crossbar) every bus is
 //! interchangeable, so a degraded breakdown depends only on the failure

@@ -2,6 +2,11 @@
 
 use std::collections::BTreeMap;
 
+/// Upper bound on a user-set thread count (`--workers`, `--concurrency`).
+/// Each unit becomes one OS thread, so an unchecked value could ask the
+/// kernel for tens of thousands of them.
+pub const MAX_THREADS: usize = 256;
+
 /// Parsed command line: one subcommand, positional arguments, and
 /// `--key value` / `--flag` options.
 #[derive(Debug, Clone, Default)]
@@ -56,6 +61,23 @@ impl Args {
         }
     }
 
+    /// A thread-count option with a default. A value given on the command
+    /// line must not exceed [`MAX_THREADS`]; the default is taken as is.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the flag when the value does not parse or
+    /// exceeds the cap.
+    pub fn threads_or(&self, key: &str, default: usize) -> Result<usize, String> {
+        let threads = self.get_or(key, default)?;
+        if self.get(key).is_some() && threads > MAX_THREADS {
+            return Err(format!(
+                "--{key}: {threads} threads exceeds the limit of {MAX_THREADS}"
+            ));
+        }
+        Ok(threads)
+    }
+
     /// Whether a bare flag (or `--key true`) is present.
     pub fn flag(&self, key: &str) -> bool {
         matches!(self.get(key), Some("true"))
@@ -91,6 +113,16 @@ mod tests {
     fn bad_values_error() {
         let args = parse("analyze --n banana");
         assert!(args.get_or("n", 8usize).is_err());
+    }
+
+    #[test]
+    fn thread_counts_are_capped() {
+        let capped = parse("serve --workers 257").threads_or("workers", 4);
+        assert!(capped.unwrap_err().contains("--workers"));
+        let at_cap = parse("serve --workers 256").threads_or("workers", 4);
+        assert_eq!(at_cap.unwrap(), MAX_THREADS);
+        // A default above the cap (a very wide machine) is not an error.
+        assert_eq!(parse("serve").threads_or("workers", 1024).unwrap(), 1024);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!    replications/sec of the batched SoA lane engine against the scalar
 //!    engine on a single worker — the per-replication amortization the
 //!    batching work targets — plus the batched engine's throughput at
-//!    1, 2, 4, … workers (the work-stealing pool's scaling curve; one
+//!    1, 2, 4, … workers (the worker pool's scaling curve; one
 //!    point on a single-core machine). The two engines follow different
 //!    sampling specs, so the gate is statistical agreement of the mean
 //!    bandwidth, plus bit-exact determinism of the batched reports

@@ -331,7 +331,7 @@ fn campaign_config_from(args: &Args) -> Result<mbus_core::campaign::CampaignConf
     config.samples = args.get_or("samples", config.samples)?;
     config.exhaustive_limit = args.get_or("limit", config.exhaustive_limit)?;
     config.seed = args.get_or("seed", config.seed)?;
-    config.workers = args.get_or("workers", config.workers)?;
+    config.workers = args.threads_or("workers", config.workers)?;
     config.bus_failure_prob = args.get_or("q", config.bus_failure_prob)?;
     Ok(config)
 }
@@ -940,6 +940,13 @@ mod tests {
         assert_eq!(config.workers, 3);
         assert_eq!(config.bus_failure_prob, 0.1);
         assert!(campaign_config_from(&args("faults --max-failures x")).is_err());
+        // 0 means "all cores" and 1 means serial; both stay accepted.
+        for workers in [0, 1] {
+            let config = campaign_config_from(&args(&format!("faults --workers {workers}")));
+            assert_eq!(config.unwrap().workers, workers);
+        }
+        let err = campaign_config_from(&args("faults --workers 257")).unwrap_err();
+        assert!(err.contains("--workers"), "{err}");
     }
 
     #[test]

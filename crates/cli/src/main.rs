@@ -63,8 +63,8 @@ COMMANDS:
                           (exhaustive or Monte-Carlo past --limit) for the
                           --scheme/--n/--b/--rate configuration
                           [--max-failures f] [--samples 512] [--limit 5000]
-                          [--seed s] [--workers w] [--q 0.05] [--json]
-                          [--check] [--check-cycles 100000]
+                          [--seed s] [--workers w, at most 256] [--q 0.05]
+                          [--json] [--check] [--check-cycles 100000]
     validate              compare analysis vs exact vs simulation on a grid
     lint                  run the workspace static-analysis pass (R1 panic
                           paths, R2 lossy casts, R3 equation traceability,
@@ -93,16 +93,16 @@ COMMANDS:
     serve                 run the bandwidth-query HTTP service:
                           POST /v1/{bandwidth,exact,simulate,degraded,fabric},
                           GET /metrics; graceful drain on SIGTERM/ctrl-c
-                          [--addr 127.0.0.1:7700] [--workers cores]
-                          [--cache-cap 256] [--queue-cap 64]
-                          [--max-cycles 2000000]
+                          [--addr 127.0.0.1:7700]
+                          [--workers cores, at most 256] [--cache-cap 256]
+                          [--queue-cap 64] [--max-cycles 2000000]
     loadgen               drive a running server with a deterministic
                           mixed-endpoint grid; reports throughput, latency
                           quantiles, and the cold/warm cache speedup;
                           writes BENCH_server.json
-                          [--addr 127.0.0.1:7700] [--concurrency 4]
-                          [--requests 256] [--passes 2]
-                          [--out BENCH_server.json]
+                          [--addr 127.0.0.1:7700]
+                          [--concurrency 4, at most 256] [--requests 256]
+                          [--passes 2] [--out BENCH_server.json]
     help                  show this message
 
 EXAMPLES:

@@ -13,11 +13,12 @@ use mbus_server::service::ServiceLimits;
 use mbus_core::stats::parallel::available_workers;
 use mbus_server::{loadgen, signal};
 
-/// `mbus serve`.
-pub fn serve(args: &Args) -> Result<(), String> {
+/// Builds the [`ServerConfig`] of `mbus serve` from `--addr --workers
+/// --cache-cap --queue-cap --max-cycles`.
+fn serve_config_from(args: &Args) -> Result<ServerConfig, String> {
     let config = ServerConfig {
         addr: args.get_or("addr", "127.0.0.1:7700".to_owned())?,
-        workers: args.get_or("workers", available_workers())?,
+        workers: args.threads_or("workers", available_workers())?,
         cache_capacity: args.get_or("cache-cap", 256usize)?,
         queue_capacity: args.get_or("queue-cap", 64usize)?,
         service_limits: ServiceLimits {
@@ -29,7 +30,12 @@ pub fn serve(args: &Args) -> Result<(), String> {
     if config.workers == 0 {
         return Err("--workers must be at least 1".to_owned());
     }
+    Ok(config)
+}
 
+/// `mbus serve`.
+pub fn serve(args: &Args) -> Result<(), String> {
+    let config = serve_config_from(args)?;
     let server = Server::bind(config.clone()).map_err(|e| format!("cannot bind {}: {e}", config.addr))?;
     let addr = server
         .local_addr()
@@ -63,14 +69,20 @@ pub fn serve(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `mbus loadgen`.
-pub fn loadgen_cmd(args: &Args) -> Result<(), String> {
-    let config = loadgen::LoadgenConfig {
+/// Builds the [`loadgen::LoadgenConfig`] of `mbus loadgen` from `--addr
+/// --concurrency --requests --passes`.
+fn loadgen_config_from(args: &Args) -> Result<loadgen::LoadgenConfig, String> {
+    Ok(loadgen::LoadgenConfig {
         addr: args.get_or("addr", "127.0.0.1:7700".to_owned())?,
-        concurrency: args.get_or("concurrency", 4usize)?,
+        concurrency: args.threads_or("concurrency", 4)?,
         requests: args.get_or("requests", 256usize)?,
         passes: args.get_or("passes", 2usize)?,
-    };
+    })
+}
+
+/// `mbus loadgen`.
+pub fn loadgen_cmd(args: &Args) -> Result<(), String> {
+    let config = loadgen_config_from(args)?;
     let out = args.get_or("out", "BENCH_server.json".to_owned())?;
 
     println!(
@@ -118,4 +130,37 @@ pub fn loadgen_cmd(args: &Args) -> Result<(), String> {
         ));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(s: &str) -> Args {
+        Args::parse(s.split_whitespace().map(String::from))
+    }
+
+    // Only the parse-and-reject path runs here: no server is bound and no
+    // thread is started.
+
+    #[test]
+    fn serve_workers_are_bounded() {
+        let err = serve_config_from(&args("serve --workers 257")).unwrap_err();
+        assert!(err.contains("--workers"), "{err}");
+        let err = serve_config_from(&args("serve --workers 0")).unwrap_err();
+        assert!(err.contains("--workers"), "{err}");
+        let config = serve_config_from(&args("serve --workers 1")).unwrap();
+        assert_eq!(config.workers, 1);
+    }
+
+    #[test]
+    fn loadgen_concurrency_is_bounded() {
+        let err = loadgen_config_from(&args("loadgen --concurrency 257")).unwrap_err();
+        assert!(err.contains("--concurrency"), "{err}");
+        for concurrency in [0, 1] {
+            let config =
+                loadgen_config_from(&args(&format!("loadgen --concurrency {concurrency}")));
+            assert_eq!(config.unwrap().concurrency, concurrency);
+        }
+    }
 }

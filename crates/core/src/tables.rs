@@ -7,11 +7,10 @@
 //! `figures()` function re-draws the paper's four topology diagrams.
 //!
 //! Table blocks are independent `(N, r)` grids of very uneven cost (cost
-//! climbs steeply with `N`), so regeneration shards them over the
-//! work-stealing pool via
-//! [`mbus_stats::parallel::parallel_map_dynamic`]; results are identical
-//! to a serial evaluation (same cells, same order, same floating-point
-//! values).
+//! climbs steeply with `N`), so regeneration shards them over the worker
+//! pool via [`mbus_stats::parallel::parallel_map_dynamic`]; results are
+//! identical to a serial evaluation (same cells, same order, same
+//! floating-point values).
 
 use crate::paper_params;
 use crate::reference::{self, ReferenceBlock};

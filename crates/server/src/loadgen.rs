@@ -2,10 +2,10 @@
 //!
 //! Drives a running server with a deterministic grid of mixed-endpoint
 //! queries from `concurrency` client threads (via
-//! [`mbus_stats::parallel::parallel_map_dynamic`], the same
-//! work-stealing pool the engines use — request latencies vary by
-//! endpoint and cache state, so idle clients steal queued requests
-//! instead of waiting out the slowest). Each client issues its requests
+//! [`mbus_stats::parallel::parallel_map_dynamic`], the same worker pool
+//! the engines use — request latencies vary by endpoint and cache state,
+//! so a client that finishes early claims the next request instead of
+//! waiting out the slowest). Each client issues its requests
 //! back-to-back — a closed loop, so offered load adapts to service rate
 //! instead of overrunning it.
 //!

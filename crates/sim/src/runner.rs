@@ -1,9 +1,9 @@
-//! Replicated runs across a work-stealing pool, with replication-level
+//! Replicated runs across the worker pool, with replication-level
 //! confidence intervals.
 //!
 //! [`run_replications`] fans the replication list out over
-//! `mbus_stats::parallel::parallel_map_dynamic` (the Chase–Lev pool) and
-//! picks the faster of two engines per run:
+//! `mbus_stats::parallel::parallel_map_dynamic` (the atomic-cursor pool)
+//! and picks the faster of two engines per run:
 //!
 //! * **batched** — when the system fits the [`crate::batched`] envelope
 //!   (`N ≤ 64`, `M ≤ 64`, ≥ 2 replications), replications are split into
@@ -58,7 +58,7 @@ fn panicked(replication: usize, payload: Box<dyn std::any::Any + Send>) -> SimEr
 }
 
 /// Runs `replications` independent simulations (seeds `base_seed`,
-/// `base_seed + 1`, …) over the work-stealing pool and aggregates the
+/// `base_seed + 1`, …) over the worker pool and aggregates the
 /// results, batching lanes through the SoA engine where eligible.
 ///
 /// # Errors

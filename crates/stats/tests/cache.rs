@@ -3,7 +3,7 @@
 //! results, and nested lookups must not deadlock.
 
 use mbus_stats::cache::MemoCache;
-use mbus_stats::parallel::parallel_map;
+use mbus_stats::parallel::parallel_map_dynamic;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -17,7 +17,7 @@ fn parallel_hammering_matches_cold_computation() {
     let cache: Arc<MemoCache<u64, u64>> = Arc::new(MemoCache::new(4, 64));
     // 256 lookups over 16 overlapping keys, from 8 worker threads.
     let items: Vec<u64> = (0..256).map(|i| i % 16).collect();
-    let results = parallel_map(items.clone(), 8, {
+    let results = parallel_map_dynamic(items.clone(), 8, {
         let cache = Arc::clone(&cache);
         move |key| *cache.get_or_insert_with(key, || cold(key))
     });
@@ -37,7 +37,7 @@ fn racing_threads_converge_on_one_canonical_value() {
     // every caller must observe the same Arc afterwards.
     let cache: Arc<MemoCache<u64, u64>> = Arc::new(MemoCache::new(1, 8));
     let computations = Arc::new(AtomicUsize::new(0));
-    let results = parallel_map((0..32).collect::<Vec<u64>>(), 8, {
+    let results = parallel_map_dynamic((0..32).collect::<Vec<u64>>(), 8, {
         let cache = Arc::clone(&cache);
         let computations = Arc::clone(&computations);
         move |_| {
@@ -65,7 +65,7 @@ fn nested_lookups_under_parallel_load_do_not_deadlock() {
     // compute would deadlock here.
     let cache: Arc<MemoCache<u64, u64>> = Arc::new(MemoCache::new(1, 64));
     let items: Vec<u64> = (0..64).map(|i| i % 8).collect();
-    let results = parallel_map(items.clone(), 8, {
+    let results = parallel_map_dynamic(items.clone(), 8, {
         let cache = Arc::clone(&cache);
         move |key| {
             let inner = *cache.get_or_insert_with(key + 100, || cold(key + 100));

@@ -2,7 +2,7 @@
 //! would — deleting a single allow pragma or reintroducing an `unwrap()`
 //! in a library crate breaks this test, not just the CI lint step.
 
-use mbus_lint::{lint_workspace, render_human, workspace_source_files};
+use mbus_lint::{lint_workspace, render_human, render_unsafe_report, workspace_source_files};
 use std::path::Path;
 
 #[test]
@@ -196,33 +196,34 @@ fn lint_walk_covers_the_fabric_crate() {
 
 #[test]
 fn lint_walk_covers_the_scheduler_and_inventories_its_unsafe() {
-    // The work-stealing scheduler is the one module in `mbus-stats` with
-    // `unsafe` and lock-free atomics; R5 (SAFETY comments) and R7
-    // (atomics orderings) are only meaningful if its sources are walked.
+    // The scheduler is the one module in `mbus-stats` with threads and
+    // atomics; R6 (lock discipline) and R7 (atomics orderings) are only
+    // meaningful if its source is walked.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let files = workspace_source_files(root).expect("walker");
-    for module in ["crates/stats/src/deque.rs", "crates/stats/src/parallel.rs"] {
-        assert!(
-            files.iter().any(|(path, _)| path == module),
-            "lint walk must cover {module}"
-        );
-    }
-    // Every deque unsafe site is inventoried with a SAFETY rationale, and
-    // the inventory attributes them to the stats crate.
-    let report = lint_workspace(root).expect("workspace sources must be readable");
-    let deque_sites: Vec<_> = report
-        .unsafe_sites
-        .iter()
-        .filter(|s| s.path == "crates/stats/src/deque.rs")
-        .collect();
     assert!(
-        !deque_sites.is_empty(),
-        "the Chase–Lev deque's unsafe sites must be inventoried"
+        files
+            .iter()
+            .any(|(path, _)| path == "crates/stats/src/parallel.rs"),
+        "lint walk must cover crates/stats/src/parallel.rs"
+    );
+    // The scheduler needs no `unsafe`: the `--unsafe-report` inventory
+    // still lists the workspace's other sites but none in `mbus-stats`,
+    // and the crate root forbids it outright.
+    let report = lint_workspace(root).expect("workspace sources must be readable");
+    let inventory = render_unsafe_report(&report);
+    assert!(
+        !report.unsafe_sites.is_empty(),
+        "the inventory must still list the signal shim:\n{inventory}"
     );
     assert!(
-        deque_sites
-            .iter()
-            .all(|s| s.crate_name == "stats" && s.rationale.is_some()),
-        "every deque unsafe site carries a SAFETY rationale"
+        !inventory.contains("crates/stats/"),
+        "mbus-stats must hold no unsafe site:\n{inventory}"
+    );
+    let stats_root = std::fs::read_to_string(root.join("crates/stats/src/lib.rs"))
+        .expect("stats crate root must be readable");
+    assert!(
+        stats_root.contains("#![forbid(unsafe_code)]"),
+        "crates/stats/src/lib.rs must carry #![forbid(unsafe_code)]"
     );
 }
