@@ -331,7 +331,11 @@ pub fn render_fabric_json(report: &FabricCampaignReport) -> String {
             level.mean_unreachable,
             level.max_unreachable,
             int_list(&level.worst_mask),
-            if i + 1 == report.levels.len() { "" } else { "," },
+            if i + 1 == report.levels.len() {
+                ""
+            } else {
+                ","
+            },
         ));
     }
     out.push_str("  ],\n");
@@ -370,8 +374,7 @@ mod tests {
     #[test]
     fn uplink_levels_cover_all_combinations() {
         let (topo, matrix) = fabric(&[4, 4], 0.6);
-        let report =
-            run_fabric_campaign(&topo, &matrix, 0.5, &CampaignConfig::default()).unwrap();
+        let report = run_fabric_campaign(&topo, &matrix, 0.5, &CampaignConfig::default()).unwrap();
         assert_eq!(report.uplinks, 4);
         assert_eq!(report.levels.len(), 5);
         // C(4, f) combos per level, all exhaustive at the default limit.
@@ -393,8 +396,7 @@ mod tests {
         // uplinks kills delivery entirely, and the worst-case decay table
         // zeroes cluster c once uplink c is down.
         let (topo, matrix) = fabric(&[4, 4], 0.0);
-        let report =
-            run_fabric_campaign(&topo, &matrix, 0.5, &CampaignConfig::default()).unwrap();
+        let report = run_fabric_campaign(&topo, &matrix, 0.5, &CampaignConfig::default()).unwrap();
         let dead = report.levels.last().unwrap();
         assert!(dead.mean_bandwidth.abs() < 1e-12);
         assert!((dead.mean_unreachable - report.rate * 16.0).abs() < 1e-9);
@@ -418,8 +420,7 @@ mod tests {
     #[test]
     fn depth_one_fabric_has_no_uplinks() {
         let (topo, matrix) = fabric(&[8], 1.0);
-        let report =
-            run_fabric_campaign(&topo, &matrix, 0.5, &CampaignConfig::default()).unwrap();
+        let report = run_fabric_campaign(&topo, &matrix, 0.5, &CampaignConfig::default()).unwrap();
         assert_eq!(report.uplinks, 0);
         assert_eq!(report.levels.len(), 1);
         assert_eq!(report.expected_bandwidth, report.healthy_bandwidth);
@@ -445,8 +446,7 @@ mod tests {
     #[test]
     fn renderers_cover_the_report() {
         let (topo, matrix) = fabric(&[2, 2], 0.5);
-        let report =
-            run_fabric_campaign(&topo, &matrix, 0.8, &CampaignConfig::default()).unwrap();
+        let report = run_fabric_campaign(&topo, &matrix, 0.8, &CampaignConfig::default()).unwrap();
         let md = render_fabric_markdown(&report);
         assert!(md.contains("Fabric 2x2"));
         assert!(md.contains("availability-weighted"));

@@ -331,8 +331,8 @@ pub fn run_campaign(
     // (the lexicographically first mask `{0..f}` — also the first mask the
     // uncollapsed sweep sees, keeping `worst_mask` identical) serves every
     // `C(B, f)` combination. The memo cache is shared by all workers.
-    let symmetric = config.collapse_symmetry
-        && matches!(net.kind(), SchemeKind::Full | SchemeKind::Crossbar);
+    let symmetric =
+        config.collapse_symmetry && matches!(net.kind(), SchemeKind::Full | SchemeKind::Crossbar);
     let canonical: MemoCache<usize, Result<DegradedBreakdown, AnalysisError>> =
         MemoCache::new(1, b + 2);
     type Evaluated = Result<(usize, Vec<usize>, DegradedBreakdown), AnalysisError>;

@@ -45,9 +45,7 @@ use mbus_core::analysis::sweep::bus_sweep_with_workers;
 use mbus_core::exact;
 use mbus_core::prelude::*;
 use mbus_core::sim::reference::ReferenceSimulator;
-use mbus_core::sim::runner::{
-    run_replications_scalar_with_workers, run_replications_with_workers,
-};
+use mbus_core::sim::runner::{run_replications_scalar_with_workers, run_replications_with_workers};
 use mbus_core::stats::parallel::available_workers;
 use std::time::Instant;
 
@@ -231,7 +229,9 @@ fn scaling_benchmark(
     let matrix = paper_params::hierarchical(n)
         .map_err(|e| e.to_string())?
         .matrix();
-    let config = SimConfig::new(cycles).with_warmup(cycles / 20).with_seed(seed);
+    let config = SimConfig::new(cycles)
+        .with_warmup(cycles / 20)
+        .with_seed(seed);
     let total_cycles = cycles + cycles / 20;
 
     // Gates before timing: the engines follow different sampling specs,
@@ -240,9 +240,8 @@ fn scaling_benchmark(
     // worker counts.
     let batched = run_replications_with_workers(&net, &matrix, 1.0, &config, replications, 1)
         .map_err(|e| e.to_string())?;
-    let scalar =
-        run_replications_scalar_with_workers(&net, &matrix, 1.0, &config, replications, 1)
-            .map_err(|e| e.to_string())?;
+    let scalar = run_replications_scalar_with_workers(&net, &matrix, 1.0, &config, replications, 1)
+        .map_err(|e| e.to_string())?;
     if batched.engine != "batched" || scalar.engine != "scalar" {
         return Err("engine selection gate failed — benchmark void".into());
     }
@@ -333,11 +332,7 @@ impl FabricBenchEntry {
 /// engine on each fabric's flattened equivalent network (same processors,
 /// same workload, all local buses pooled), and records the analytic
 /// decomposition's bandwidth gap at each depth.
-fn fabric_benchmark(
-    cycles: u64,
-    seed: u64,
-    reps: usize,
-) -> Result<Vec<FabricBenchEntry>, String> {
+fn fabric_benchmark(cycles: u64, seed: u64, reps: usize) -> Result<Vec<FabricBenchEntry>, String> {
     use mbus_core::fabric::{analyze_fabric, FabricSimulator, FabricSpec, FabricTopology};
     const RATE: f64 = 0.5;
     const LOCALITY: f64 = 0.6;
@@ -350,7 +345,9 @@ fn fabric_benchmark(
             locality: LOCALITY,
         };
         let (topo, matrix) = spec.build().map_err(|e| e.to_string())?;
-        let config = SimConfig::new(cycles).with_warmup(cycles / 10).with_seed(seed);
+        let config = SimConfig::new(cycles)
+            .with_warmup(cycles / 10)
+            .with_seed(seed);
         let total_cycles = cycles + cycles / 10;
 
         let mut fabric_sim =
@@ -414,7 +411,9 @@ fn collect_benchmark(
     let matrix = paper_params::hierarchical(n)
         .map_err(|e| e.to_string())?
         .matrix();
-    let full_config = SimConfig::new(cycles).with_warmup(cycles / 20).with_seed(seed);
+    let full_config = SimConfig::new(cycles)
+        .with_warmup(cycles / 20)
+        .with_seed(seed);
     let agg_config = full_config.clone().with_collect(CollectMode::Aggregate);
 
     // Gate: aggregate collection must not change any scalar of any report.
@@ -487,8 +486,10 @@ fn exact_benchmark(reps: usize) -> Result<ExactResult, String> {
     let net = BusNetwork::new(n, m, b, ConnectionScheme::Full).map_err(|e| e.to_string())?;
 
     // Both engines must agree exactly before their speeds are compared.
-    let dp_bw = exact::enumerate::exact_bandwidth_dp(&net, &matrix, 1.0).map_err(|e| e.to_string())?;
-    let tf_bw = exact::transform::transform_bandwidth(&net, &matrix, 1.0).map_err(|e| e.to_string())?;
+    let dp_bw =
+        exact::enumerate::exact_bandwidth_dp(&net, &matrix, 1.0).map_err(|e| e.to_string())?;
+    let tf_bw =
+        exact::transform::transform_bandwidth(&net, &matrix, 1.0).map_err(|e| e.to_string())?;
     if (dp_bw - tf_bw).abs() > 1e-9 {
         return Err(format!(
             "transform ({tf_bw}) and DP ({dp_bw}) engines diverged — benchmark void"
@@ -515,7 +516,9 @@ fn exact_benchmark(reps: usize) -> Result<ExactResult, String> {
     // chain solves it from occupancy counts.
     let (ln, lm, lb) = (16usize, 8usize, 4usize);
     let lu_net = BusNetwork::new(ln, lm, lb, ConnectionScheme::Full).map_err(|e| e.to_string())?;
-    let lu_matrix = UniformModel::new(ln, lm).map_err(|e| e.to_string())?.matrix();
+    let lu_matrix = UniformModel::new(ln, lm)
+        .map_err(|e| e.to_string())?
+        .matrix();
     let unlumped_rejected = matches!(
         exact::markov::resubmission_steady_state(&lu_net, &lu_matrix, 1.0),
         Err(exact::ExactError::TooLarge { .. })
@@ -590,9 +593,7 @@ fn scaling_json(n: usize, b: usize, seed: u64, scaling: &ScalingResult) -> Strin
         .curve
         .iter()
         .map(|&(workers, rps)| {
-            format!(
-                "      {{ \"workers\": {workers}, \"replications_per_sec\": {rps:.2} }}"
-            )
+            format!("      {{ \"workers\": {workers}, \"replications_per_sec\": {rps:.2} }}")
         })
         .collect::<Vec<_>>()
         .join(",\n");

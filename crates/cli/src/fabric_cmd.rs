@@ -192,11 +192,26 @@ fn render_markdown(
     let _ = writeln!(out, "|---|---|");
     let _ = writeln!(out, "| bandwidth (req/cycle) | {:.4} |", analysis.bandwidth);
     let _ = writeln!(out, "| offered load | {:.4} |", analysis.offered_load);
-    let _ = writeln!(out, "| acceptance probability | {:.4} |", analysis.acceptance);
-    let _ = writeln!(out, "| unreachable rate | {:.4} |", analysis.unreachable_rate);
-    let _ = writeln!(out, "| mean hops per delivery | {:.3} |", analysis.mean_hops);
+    let _ = writeln!(
+        out,
+        "| acceptance probability | {:.4} |",
+        analysis.acceptance
+    );
+    let _ = writeln!(
+        out,
+        "| unreachable rate | {:.4} |",
+        analysis.unreachable_rate
+    );
+    let _ = writeln!(
+        out,
+        "| mean hops per delivery | {:.3} |",
+        analysis.mean_hops
+    );
     let _ = writeln!(out, "| fixed-point iterations | {} |", analysis.iterations);
-    let _ = writeln!(out, "\n| link | offered | carried | acceptance | utilization |");
+    let _ = writeln!(
+        out,
+        "\n| link | offered | carried | acceptance | utilization |"
+    );
     let _ = writeln!(out, "|---|---|---|---|---|");
     for (id, load) in analysis.links.iter().enumerate() {
         let _ = writeln!(
@@ -247,7 +262,10 @@ fn render_markdown(
             analysis.mean_hops - report.mean_hops,
         );
         if !report.link_utilization.is_empty() {
-            let _ = writeln!(out, "\n| link | util (sim) | util (analytic) | carried | blocked | alive cycles |");
+            let _ = writeln!(
+                out,
+                "\n| link | util (sim) | util (analytic) | carried | blocked | alive cycles |"
+            );
             let _ = writeln!(out, "|---|---|---|---|---|---|");
             for (id, link) in links.iter().enumerate() {
                 let _ = writeln!(
@@ -306,11 +324,7 @@ fn render_json(
         .iter()
         .map(|load| format!("{:.6}", load.utilization))
         .collect();
-    let _ = writeln!(
-        out,
-        "    \"link_utilization\": [{}]",
-        link_utils.join(", ")
-    );
+    let _ = writeln!(out, "    \"link_utilization\": [{}]", link_utils.join(", "));
     let _ = write!(out, "  }}");
     if let Some(report) = report {
         let _ = writeln!(out, ",");
@@ -439,7 +453,8 @@ fn sweep(args: &Args) -> Result<(), String> {
             };
             let (topo, matrix) = spec.build().map_err(|e| e.to_string())?;
             let analysis = analyze_fabric(&topo, &matrix, rate, &[]).map_err(|e| e.to_string())?;
-            let mut sim = FabricSimulator::build(&topo, &matrix, rate).map_err(|e| e.to_string())?;
+            let mut sim =
+                FabricSimulator::build(&topo, &matrix, rate).map_err(|e| e.to_string())?;
             let config = SimConfig::new(cycles)
                 .with_warmup(cycles / 10)
                 .with_seed(seed);

@@ -8,9 +8,9 @@
 //! counterpart of `mbus bench`'s `BENCH_sim.json`.
 
 use crate::args::Args;
+use mbus_core::stats::parallel::available_workers;
 use mbus_server::server::{Server, ServerConfig};
 use mbus_server::service::ServiceLimits;
-use mbus_core::stats::parallel::available_workers;
 use mbus_server::{loadgen, signal};
 
 /// Builds the [`ServerConfig`] of `mbus serve` from `--addr --workers
@@ -36,7 +36,8 @@ fn serve_config_from(args: &Args) -> Result<ServerConfig, String> {
 /// `mbus serve`.
 pub fn serve(args: &Args) -> Result<(), String> {
     let config = serve_config_from(args)?;
-    let server = Server::bind(config.clone()).map_err(|e| format!("cannot bind {}: {e}", config.addr))?;
+    let server =
+        Server::bind(config.clone()).map_err(|e| format!("cannot bind {}: {e}", config.addr))?;
     let addr = server
         .local_addr()
         .map_err(|e| format!("cannot resolve local address: {e}"))?;
@@ -111,7 +112,9 @@ pub fn loadgen_cmd(args: &Args) -> Result<(), String> {
     }
     match report.cache_speedup() {
         Some(speedup) => println!("  cache-hit speedup: {speedup:.2}x (cold/warm mean latency)"),
-        None => println!("  cache-hit speedup: not measurable (need two passes with answered requests)"),
+        None => {
+            println!("  cache-hit speedup: not measurable (need two passes with answered requests)")
+        }
     }
     if report.hard_failures() > 0 {
         println!(

@@ -744,11 +744,8 @@ mod tests {
             Err(ExactError::UnsupportedShape { .. })
         ));
         // Non-exchangeable processors.
-        let mixed = mbus_workload::RequestMatrix::from_rows(vec![
-            vec![1.0, 0.0],
-            vec![0.0, 1.0],
-        ])
-        .unwrap();
+        let mixed =
+            mbus_workload::RequestMatrix::from_rows(vec![vec![1.0, 0.0], vec![0.0, 1.0]]).unwrap();
         let net = BusNetwork::new(2, 2, 1, ConnectionScheme::Full).unwrap();
         assert!(matches!(
             lumped_steady_state(&net, &mixed, 1.0),

@@ -240,7 +240,10 @@ mod tests {
             let dp = crate::enumerate::requested_set_pmf_dp(&matrix, r).unwrap();
             let tf = requested_set_pmf(&matrix, r).unwrap();
             for (mask, (&a, &b)) in dp.iter().zip(&tf).enumerate() {
-                assert!((a - b).abs() < 1e-12, "mask {mask}: dp {a} vs transform {b}");
+                assert!(
+                    (a - b).abs() < 1e-12,
+                    "mask {mask}: dp {a} vs transform {b}"
+                );
             }
         }
     }

@@ -27,10 +27,7 @@ const TOL: f64 = 1e-9;
 fn random_matrix() -> impl Strategy<Value = RequestMatrix> {
     (1usize..=8, 2usize..=6)
         .prop_flat_map(|(n, m)| {
-            let pool = proptest::collection::vec(
-                proptest::collection::vec(0.01f64..1.0, m),
-                1..=3,
-            );
+            let pool = proptest::collection::vec(proptest::collection::vec(0.01f64..1.0, m), 1..=3);
             let picks = proptest::collection::vec(0..3usize, n);
             (pool, picks)
         })

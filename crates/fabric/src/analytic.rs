@@ -129,10 +129,8 @@ impl<'a> Decomposition<'a> {
         let mut route_alive = vec![true; leaves * leaves];
         for src in 0..leaves {
             for dst in 0..leaves {
-                route_alive[src * leaves + dst] = topo
-                    .leaf_route(src, dst)
-                    .iter()
-                    .all(|&link| !failed[link]);
+                route_alive[src * leaves + dst] =
+                    topo.leaf_route(src, dst).iter().all(|&link| !failed[link]);
             }
         }
         let mut bprob = vec![0.0; n * m];
@@ -379,8 +377,8 @@ pub fn analyze_fabric(
     for p in 0..n {
         let src = decomposition.proc_leaf[p];
         for j in 0..m {
-            arrivals[j] +=
-                decomposition.bprob[p * m + j] * pre_final[src * leaves + decomposition.mem_leaf[j]];
+            arrivals[j] += decomposition.bprob[p * m + j]
+                * pre_final[src * leaves + decomposition.mem_leaf[j]];
         }
     }
     let mut processor_service = vec![0.0; n];
@@ -465,8 +463,7 @@ mod tests {
         for rate in [0.2, 0.5, 1.0] {
             let fabric = analyze_fabric(&topo, &matrix, rate, &[]).unwrap();
             let flat =
-                mbus_analysis::bandwidth::analyze(&topo.flatten().unwrap(), &matrix, rate)
-                    .unwrap();
+                mbus_analysis::bandwidth::analyze(&topo.flatten().unwrap(), &matrix, rate).unwrap();
             assert!(
                 (fabric.bandwidth - flat.bandwidth).abs() < 1e-9,
                 "r={rate}: {} vs {}",
@@ -527,8 +524,7 @@ mod tests {
         let topo = ClusteredBuses::new(Hierarchy::paired(&[4, 4]).unwrap(), 2, 1).unwrap();
         let mut last = f64::INFINITY;
         for locality in [0.9, 0.6, 0.3, 0.0] {
-            let analysis =
-                analyze_fabric(&topo, &workload(&topo, locality), 0.8, &[]).unwrap();
+            let analysis = analyze_fabric(&topo, &workload(&topo, locality), 0.8, &[]).unwrap();
             assert!(
                 analysis.bandwidth <= last + 1e-9,
                 "locality {locality} raised bandwidth: {} > {last}",

@@ -559,7 +559,11 @@ impl FabricSimulator {
             None => ConfidenceInterval::degenerate(grand_mean),
         };
         let offered = issued_total as f64 / cycles as f64;
-        let acceptance = if offered > 0.0 { grand_mean / offered } else { 1.0 };
+        let acceptance = if offered > 0.0 {
+            grand_mean / offered
+        } else {
+            1.0
+        };
         Ok(FabricReport {
             cycles: measured_cycles,
             warmup: config.warmup,
@@ -692,9 +696,7 @@ mod tests {
     #[test]
     fn purely_local_traffic_never_touches_uplinks() {
         let mut sim = two_level(&[4, 4], 2, 1, 1.0);
-        let report = sim
-            .run(&SimConfig::new(2_000).with_warmup(200))
-            .unwrap();
+        let report = sim.run(&SimConfig::new(2_000).with_warmup(200)).unwrap();
         for (link, &carried) in report.link_carried.iter().enumerate() {
             if link >= sim.topology().leaves() {
                 assert_eq!(carried, 0, "uplink {link} carried local-only traffic");
@@ -719,9 +721,8 @@ mod tests {
     #[test]
     fn depth_one_delegates_to_the_flat_engine() {
         let topo = ClusteredBuses::new(Hierarchy::paired(&[8]).unwrap(), 4, 1).unwrap();
-        let model =
-            HierarchicalModel::with_aggregate_shares(topo.hierarchy().clone(), &[0.6, 0.4])
-                .unwrap();
+        let model = HierarchicalModel::with_aggregate_shares(topo.hierarchy().clone(), &[0.6, 0.4])
+            .unwrap();
         let matrix = model.matrix();
         let mut fabric = FabricSimulator::build(&topo, &matrix, 0.5).unwrap();
         assert!(fabric.is_flat());
@@ -763,11 +764,9 @@ mod tests {
             FabricSimulator::build(&topo, &small.matrix(), 0.5),
             Err(FabricError::DimensionMismatch { .. })
         ));
-        let model = HierarchicalModel::with_aggregate_shares(
-            topo.hierarchy().clone(),
-            &[0.6, 0.3, 0.1],
-        )
-        .unwrap();
+        let model =
+            HierarchicalModel::with_aggregate_shares(topo.hierarchy().clone(), &[0.6, 0.3, 0.1])
+                .unwrap();
         let matrix = model.matrix();
         assert!(matches!(
             FabricSimulator::build(&topo, &matrix, 1.5),

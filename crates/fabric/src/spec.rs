@@ -111,9 +111,6 @@ mod tests {
             uplink_width: 1,
             locality: 1.5,
         };
-        assert!(matches!(
-            spec.build(),
-            Err(FabricError::BadFabric { .. })
-        ));
+        assert!(matches!(spec.build(), Err(FabricError::BadFabric { .. })));
     }
 }

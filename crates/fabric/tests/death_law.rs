@@ -10,9 +10,7 @@
 //!   the cluster's delivered rate goes to zero while sibling clusters
 //!   keep exchanging traffic.
 
-use mbus_fabric::{
-    analyze_fabric, ClusteredBuses, FabricSimulator, FabricSpec, FabricTopology,
-};
+use mbus_fabric::{analyze_fabric, ClusteredBuses, FabricSimulator, FabricSpec, FabricTopology};
 use mbus_sim::{FaultEvent, FaultEventKind, FaultSchedule, SimConfig};
 use mbus_workload::RequestMatrix;
 

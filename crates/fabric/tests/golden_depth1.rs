@@ -8,10 +8,8 @@
 //! depth-1 fabric flattens to a Full network by construction).
 
 use mbus_fabric::{ClusteredBuses, FabricSimulator};
-use mbus_sim::{
-    FaultEvent, FaultEventKind, FaultSchedule, SimConfig, SimReport, Simulator,
-};
-use mbus_workload::{Hierarchy, HierarchicalModel, RequestMatrix, RequestModel};
+use mbus_sim::{FaultEvent, FaultEventKind, FaultSchedule, SimConfig, SimReport, Simulator};
+use mbus_workload::{HierarchicalModel, Hierarchy, RequestMatrix, RequestModel};
 
 /// FNV-1a over every field of the report, in declaration order — the same
 /// fold as `crates/sim/tests/golden.rs` so hashes are comparable.

@@ -113,9 +113,7 @@ pub fn parse_request_head(head: &[u8]) -> Result<Head, HttpError> {
     let text =
         std::str::from_utf8(head).map_err(|_| HttpError::Malformed("non-UTF-8 header block"))?;
     let mut lines = text.split("\r\n");
-    let request_line = lines
-        .next()
-        .ok_or(HttpError::Malformed("empty request"))?;
+    let request_line = lines.next().ok_or(HttpError::Malformed("empty request"))?;
     let mut parts = request_line.split(' ');
     let method = parts
         .next()
@@ -398,13 +396,11 @@ mod tests {
     fn content_length_rules() {
         let head = parse_request_head(b"POST / HTTP/1.1\r\nContent-Length: nope").unwrap();
         assert!(content_length(&head).is_err());
-        let head =
-            parse_request_head(b"POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 6")
-                .unwrap();
+        let head = parse_request_head(b"POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 6")
+            .unwrap();
         assert!(content_length(&head).is_err());
-        let head =
-            parse_request_head(b"POST / HTTP/1.1\r\nContent-Length: 5\r\ncontent-length: 5")
-                .unwrap();
+        let head = parse_request_head(b"POST / HTTP/1.1\r\nContent-Length: 5\r\ncontent-length: 5")
+            .unwrap();
         assert_eq!(content_length(&head).unwrap(), Some(5));
         let head = parse_request_head(b"GET / HTTP/1.1\r\nHost: x").unwrap();
         assert_eq!(content_length(&head).unwrap(), None);
@@ -412,7 +408,9 @@ mod tests {
 
     #[test]
     fn response_bytes_are_well_formed() {
-        let bytes = Response::json(429, "{}".into()).with_retry_after(1).to_bytes();
+        let bytes = Response::json(429, "{}".into())
+            .with_retry_after(1)
+            .to_bytes();
         let text = String::from_utf8(bytes).unwrap();
         assert!(text.starts_with("HTTP/1.1 429 Too Many Requests\r\n"));
         assert!(text.contains("Retry-After: 1\r\n"));

@@ -159,12 +159,7 @@ impl Json {
 
 /// Convenience constructor for an object literal.
 pub fn obj(fields: Vec<(&str, Json)>) -> Json {
-    Json::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_owned(), v))
-            .collect(),
-    )
+    Json::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
 }
 
 /// Convenience constructor for an `f64` array.
@@ -353,9 +348,10 @@ impl Parser<'_> {
             if self.pos > start {
                 // The input is a &str, so any byte run that avoids the
                 // ASCII specials above is valid UTF-8.
-                out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| {
-                    self.error("invalid UTF-8 inside string")
-                })?);
+                out.push_str(
+                    std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| self.error("invalid UTF-8 inside string"))?,
+                );
             }
             match self.peek() {
                 None => return Err(self.error("unterminated string")),
@@ -420,8 +416,7 @@ impl Parser<'_> {
             return Err(self.error("truncated \\u escape"));
         };
         let text = std::str::from_utf8(slice).map_err(|_| self.error("non-ASCII \\u escape"))?;
-        let value =
-            u32::from_str_radix(text, 16).map_err(|_| self.error("non-hex \\u escape"))?;
+        let value = u32::from_str_radix(text, 16).map_err(|_| self.error("non-hex \\u escape"))?;
         self.pos = end;
         Ok(value)
     }
@@ -507,9 +502,26 @@ mod tests {
     #[test]
     fn malformed_inputs_error_with_offsets() {
         for bad in [
-            "", "{", "[1,", "{\"a\"}", "{\"a\":}", "nul", "truex", "01x", "-", "1.", "1e",
-            "\"abc", "\"\\q\"", "\"\\u12\"", "\"\\ud800\"", "\"\\ud800\\u0020\"", "[1]]",
-            "{\"a\":1,}", "[,]", "\u{1}",
+            "",
+            "{",
+            "[1,",
+            "{\"a\"}",
+            "{\"a\":}",
+            "nul",
+            "truex",
+            "01x",
+            "-",
+            "1.",
+            "1e",
+            "\"abc",
+            "\"\\q\"",
+            "\"\\u12\"",
+            "\"\\ud800\"",
+            "\"\\ud800\\u0020\"",
+            "[1]]",
+            "{\"a\":1,}",
+            "[,]",
+            "\u{1}",
         ] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
         }

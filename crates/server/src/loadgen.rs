@@ -97,7 +97,6 @@ impl PassReport {
             0.0
         }
     }
-
 }
 
 /// Results of a full load-generation run.
@@ -148,11 +147,7 @@ impl LoadReport {
     pub fn warm_passes(&self) -> usize {
         self.passes
             .get(1..)
-            .map(|rest| {
-                rest.iter()
-                    .filter(|p| p.latency_us.mean() > 0.0)
-                    .count()
-            })
+            .map(|rest| rest.iter().filter(|p| p.latency_us.mean() > 0.0).count())
             .unwrap_or(0)
     }
 
@@ -224,10 +219,7 @@ pub fn grid_request(i: usize) -> (Endpoint, String) {
         // Fabric speaks its own key set (a cluster tree, not n x m x b);
         // mirror the two network sizes as leaf counts.
         let fields = vec![
-            (
-                "ks",
-                Json::Arr(vec![Json::Num(n / 4.0), Json::Num(4.0)]),
-            ),
+            ("ks", Json::Arr(vec![Json::Num(n / 4.0), Json::Num(4.0)])),
             ("rate", Json::Num(rate)),
             ("cycles", Json::Num(4_000.0)),
             ("seed", Json::Num(7.0)),
@@ -389,7 +381,10 @@ mod tests {
     #[test]
     fn status_line_parsing() {
         assert_eq!(parse_status("HTTP/1.1 200 OK\r\n"), Some(200));
-        assert_eq!(parse_status("HTTP/1.1 429 Too Many Requests\r\n"), Some(429));
+        assert_eq!(
+            parse_status("HTTP/1.1 429 Too Many Requests\r\n"),
+            Some(429)
+        );
         assert_eq!(parse_status("garbage"), None);
         assert_eq!(parse_status("HTTP/1.1 xx"), None);
     }

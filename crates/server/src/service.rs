@@ -31,8 +31,8 @@ use mbus_core::fabric::{
     analyze_fabric, ClusteredBuses, FabricSimulator, FabricSpec, FabricTopology,
 };
 use mbus_core::prelude::{
-    degraded_analyze, ConnectionScheme, FaultMask, FavoriteModel, HierarchicalModel,
-    RequestMatrix, RequestModel, SimConfig, System, UniformModel,
+    degraded_analyze, ConnectionScheme, FaultMask, FavoriteModel, HierarchicalModel, RequestMatrix,
+    RequestModel, SimConfig, System, UniformModel,
 };
 use mbus_core::sim::{FaultEvent, FaultEventKind, FaultSchedule};
 use mbus_core::workload::WorkloadFingerprint;
@@ -387,8 +387,7 @@ pub fn parse_body(bytes: &[u8]) -> Result<Json, ApiError> {
     if bytes.is_empty() {
         return Ok(Json::Obj(Vec::new()));
     }
-    let text =
-        std::str::from_utf8(bytes).map_err(|_| ApiError::bad_json("body is not UTF-8"))?;
+    let text = std::str::from_utf8(bytes).map_err(|_| ApiError::bad_json("body is not UTF-8"))?;
     json::parse(text).map_err(|e| ApiError::bad_json(e.to_string()))
 }
 
@@ -472,9 +471,8 @@ fn scheme_from(body: &Json, m: usize, b: usize) -> Result<ConnectionScheme, ApiE
     match field_str(body, "scheme", "full")? {
         "full" => Ok(ConnectionScheme::Full),
         "crossbar" => Ok(ConnectionScheme::Crossbar),
-        "single" => {
-            ConnectionScheme::balanced_single(m, b).map_err(|e| ApiError::bad_request(e.to_string()))
-        }
+        "single" => ConnectionScheme::balanced_single(m, b)
+            .map_err(|e| ApiError::bad_request(e.to_string())),
         "partial" => {
             let groups = field_usize(body, "groups", 2)?;
             Ok(ConnectionScheme::PartialGroups { groups })
@@ -575,8 +573,8 @@ pub fn parse_query(
     let matrix = workload_from(body, n, m)?;
     // `from_matrix` runs the closed-form analysis once, so rate/dimension
     // domain errors surface here as 400s rather than at evaluation time.
-    let system = System::from_matrix(net, matrix, rate)
-        .map_err(|e| ApiError::bad_request(e.to_string()))?;
+    let system =
+        System::from_matrix(net, matrix, rate).map_err(|e| ApiError::bad_request(e.to_string()))?;
 
     let sim = if endpoint == Endpoint::Simulate {
         let cycles = field_u64(body, "cycles", 100_000)?;
@@ -590,7 +588,9 @@ pub fn parse_query(
         }
         // The cycle budget covers the *whole* request: every replication
         // pays its own warmup, so the cap scales with the count.
-        let total = cycles.saturating_add(warmup).saturating_mul(replications as u64);
+        let total = cycles
+            .saturating_add(warmup)
+            .saturating_mul(replications as u64);
         if total > limits.max_cycles {
             return Err(ApiError::too_large(format!(
                 "(cycles + warmup) x replications = {total} exceeds the service budget of {}",
@@ -833,8 +833,7 @@ pub fn evaluate(query: &Query) -> Result<Json, ApiError> {
             let bandwidth = system
                 .exact()
                 .map_err(|e| ApiError::unsupported(e.to_string()))?;
-            let method = if system.network().memories()
-                <= mbus_core::exact::enumerate::MAX_MEMORIES
+            let method = if system.network().memories() <= mbus_core::exact::enumerate::MAX_MEMORIES
             {
                 "enumeration"
             } else {
@@ -946,17 +945,20 @@ pub fn evaluate(query: &Query) -> Result<Json, ApiError> {
         }
         // parse_query builds fabric queries with a fabric payload, which
         // the early return above already dispatched.
-        Endpoint::Fabric => Err(ApiError::bad_request(
-            "fabric query carried a flat payload",
-        )),
+        Endpoint::Fabric => Err(ApiError::bad_request("fabric query carried a flat payload")),
     }
 }
 
 /// Evaluates a `/v1/fabric` query: the analytic decomposition always,
 /// plus a routed-simulator cross-check when `cycles > 0`.
 fn evaluate_fabric(query: &Query, fabric: &FabricQuery) -> Result<Json, ApiError> {
-    let analysis = analyze_fabric(&fabric.topo, &fabric.matrix, query.rate, &fabric.failed_links)
-        .map_err(|e| ApiError::unsupported(e.to_string()))?;
+    let analysis = analyze_fabric(
+        &fabric.topo,
+        &fabric.matrix,
+        query.rate,
+        &fabric.failed_links,
+    )
+    .map_err(|e| ApiError::unsupported(e.to_string()))?;
     let ks: Vec<Json> = fabric
         .spec
         .ks
@@ -968,11 +970,8 @@ fn evaluate_fabric(query: &Query, fabric: &FabricQuery) -> Result<Json, ApiError
         .iter()
         .map(|&link| Json::Num(link as f64))
         .collect();
-    let analytic_utilization: Vec<f64> = analysis
-        .links
-        .iter()
-        .map(|load| load.utilization)
-        .collect();
+    let analytic_utilization: Vec<f64> =
+        analysis.links.iter().map(|load| load.utilization).collect();
     let mut fields = vec![
         ("ks", Json::Arr(ks)),
         ("processors", Json::Num(fabric.topo.processors() as f64)),
@@ -1032,7 +1031,10 @@ fn evaluate_fabric(query: &Query, fabric: &FabricQuery) -> Result<Json, ApiError
                 ("acceptance", Json::Num(report.acceptance)),
                 ("unreachable_rate", Json::Num(report.unreachable_rate)),
                 ("mean_hops", Json::Num(report.mean_hops)),
-                ("link_utilization", json::num_array(&report.link_utilization)),
+                (
+                    "link_utilization",
+                    json::num_array(&report.link_utilization),
+                ),
                 (
                     "analytic_gap",
                     Json::Num(analysis.bandwidth - report.bandwidth.mean()),
@@ -1111,7 +1113,9 @@ mod tests {
         assert_eq!(a, b, "explicit default == implicit default");
         let c = parse(Endpoint::Exact, "{}").unwrap().key();
         assert_ne!(a, c, "endpoint is part of the key");
-        let d = parse(Endpoint::Bandwidth, r#"{"rate": 0.5}"#).unwrap().key();
+        let d = parse(Endpoint::Bandwidth, r#"{"rate": 0.5}"#)
+            .unwrap()
+            .key();
         assert_ne!(a, d);
         let e = parse(Endpoint::Simulate, r#"{"seed": 1}"#).unwrap().key();
         let f = parse(Endpoint::Simulate, r#"{"seed": 2}"#).unwrap().key();
@@ -1138,22 +1142,40 @@ mod tests {
         // component (uniform workload so n ≠ m parses).
         let net = |body: &str| parse(Endpoint::Bandwidth, body).unwrap().key().network;
         let base = net(r#"{"workload": "uniform", "n": 8, "m": 8, "b": 4}"#);
-        assert_ne!(base, net(r#"{"workload": "uniform", "n": 16, "m": 8, "b": 4}"#), "n");
-        assert_ne!(base, net(r#"{"workload": "uniform", "n": 8, "m": 16, "b": 4}"#), "m");
-        assert_ne!(base, net(r#"{"workload": "uniform", "n": 8, "m": 8, "b": 2}"#), "b");
+        assert_ne!(
+            base,
+            net(r#"{"workload": "uniform", "n": 16, "m": 8, "b": 4}"#),
+            "n"
+        );
+        assert_ne!(
+            base,
+            net(r#"{"workload": "uniform", "n": 8, "m": 16, "b": 4}"#),
+            "m"
+        );
+        assert_ne!(
+            base,
+            net(r#"{"workload": "uniform", "n": 8, "m": 8, "b": 2}"#),
+            "b"
+        );
         assert_ne!(
             base,
             net(r#"{"workload": "uniform", "n": 8, "m": 8, "b": 4, "scheme": "crossbar"}"#),
             "scheme discriminant"
         );
         assert_ne!(
-            net(r#"{"workload": "uniform", "n": 8, "m": 8, "b": 4, "scheme": "partial", "groups": 2}"#),
-            net(r#"{"workload": "uniform", "n": 8, "m": 8, "b": 4, "scheme": "partial", "groups": 4}"#),
+            net(
+                r#"{"workload": "uniform", "n": 8, "m": 8, "b": 4, "scheme": "partial", "groups": 2}"#
+            ),
+            net(
+                r#"{"workload": "uniform", "n": 8, "m": 8, "b": 4, "scheme": "partial", "groups": 4}"#
+            ),
             "scheme params"
         );
         assert_ne!(
             net(r#"{"workload": "uniform", "n": 8, "m": 8, "b": 4, "scheme": "single"}"#),
-            net(r#"{"workload": "uniform", "n": 8, "m": 8, "b": 4, "scheme": "kclass", "classes": 4}"#),
+            net(
+                r#"{"workload": "uniform", "n": 8, "m": 8, "b": 4, "scheme": "kclass", "classes": 4}"#
+            ),
             "different schemes with same dimensions"
         );
     }
@@ -1244,9 +1266,14 @@ mod tests {
             );
         }
         // Tracing must not perturb the simulation itself.
-        let plain_same_seed =
-            evaluate(&parse(Endpoint::Simulate, r#"{"cycles": 2000, "seed": 9, "scheme": "single"}"#).unwrap())
-                .unwrap();
+        let plain_same_seed = evaluate(
+            &parse(
+                Endpoint::Simulate,
+                r#"{"cycles": 2000, "seed": 9, "scheme": "single"}"#,
+            )
+            .unwrap(),
+        )
+        .unwrap();
         assert_eq!(
             plain_same_seed.get("bandwidth_mean").unwrap().as_f64(),
             traced.get("bandwidth_mean").unwrap().as_f64(),
@@ -1346,8 +1373,7 @@ mod tests {
 
     #[test]
     fn fabric_analytic_only_when_cycles_zero() {
-        let result =
-            evaluate(&parse(Endpoint::Fabric, r#"{"cycles": 0}"#).unwrap()).unwrap();
+        let result = evaluate(&parse(Endpoint::Fabric, r#"{"cycles": 0}"#).unwrap()).unwrap();
         assert!(result.get("analytic").is_some());
         assert!(result.get("simulated").is_none(), "no sim without cycles");
     }
@@ -1359,7 +1385,11 @@ mod tests {
         // drop-on-block model can *raise* total bandwidth: unreachable remote
         // flows leave the system and local links decongest.)
         let healthy = evaluate(
-            &parse(Endpoint::Fabric, r#"{"ks": [4, 4], "locality": 0.0, "cycles": 0}"#).unwrap(),
+            &parse(
+                Endpoint::Fabric,
+                r#"{"ks": [4, 4], "locality": 0.0, "cycles": 0}"#,
+            )
+            .unwrap(),
         )
         .unwrap();
         // Links 0..4 are the local groups, 4..8 the uplinks; fail one uplink.
@@ -1405,7 +1435,10 @@ mod tests {
         assert_eq!((err.status, err.kind), (422, "too_large"));
         // Cache keys: defaults are stable, every knob separates.
         let base = parse(Endpoint::Fabric, "{}").unwrap().key();
-        assert_eq!(base, parse(Endpoint::Fabric, r#"{"ks": [4, 4]}"#).unwrap().key());
+        assert_eq!(
+            base,
+            parse(Endpoint::Fabric, r#"{"ks": [4, 4]}"#).unwrap().key()
+        );
         for body in [
             r#"{"ks": [2, 8]}"#,
             r#"{"buses": 3}"#,
@@ -1421,8 +1454,12 @@ mod tests {
         }
         // Link-failure order is canonicalized.
         assert_eq!(
-            parse(Endpoint::Fabric, r#"{"failed_links": [4, 1]}"#).unwrap().key(),
-            parse(Endpoint::Fabric, r#"{"failed_links": [1, 4]}"#).unwrap().key(),
+            parse(Endpoint::Fabric, r#"{"failed_links": [4, 1]}"#)
+                .unwrap()
+                .key(),
+            parse(Endpoint::Fabric, r#"{"failed_links": [1, 4]}"#)
+                .unwrap()
+                .key(),
         );
         // Fabric keys never collide with a flat endpoint's.
         assert_ne!(

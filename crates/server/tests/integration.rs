@@ -125,19 +125,31 @@ fn concurrent_mixed_endpoint_clients_all_succeed() {
         for i in 0..16 {
             joins.push(scope.spawn(move || {
                 let endpoint = Endpoint::ALL[i % 4];
-                let body = format!(r#"{{"rate":{},"workload":"uniform"}}"#, 0.25 * ((i % 4) + 1) as f64);
+                let body = format!(
+                    r#"{{"rate":{},"workload":"uniform"}}"#,
+                    0.25 * ((i % 4) + 1) as f64
+                );
                 let body = if endpoint == Endpoint::Simulate {
-                    format!(r#"{{"rate":{},"workload":"uniform","cycles":2000}}"#, 0.25 * ((i % 4) + 1) as f64)
+                    format!(
+                        r#"{{"rate":{},"workload":"uniform","cycles":2000}}"#,
+                        0.25 * ((i % 4) + 1) as f64
+                    )
                 } else {
                     body
                 };
                 send(addr, "POST", &format!("/v1/{}", endpoint.name()), &body)
             }));
         }
-        joins.into_iter().map(|j| j.join().expect("client")).collect()
+        joins
+            .into_iter()
+            .map(|j| j.join().expect("client"))
+            .collect()
     });
     for (status, body) in &results {
-        assert_eq!(*status, 200, "under capacity every request succeeds: {body}");
+        assert_eq!(
+            *status, 200,
+            "under capacity every request succeeds: {body}"
+        );
     }
     assert_eq!(handle.server_errors(), 0, "zero 5xx under capacity");
     handle.shutdown();
@@ -191,7 +203,10 @@ fn saturation_sheds_with_429_and_drops_nothing_silently() {
         let joins: Vec<_> = (0..8)
             .map(|_| scope.spawn(move || send(addr, "POST", "/v1/simulate", slow)))
             .collect();
-        joins.into_iter().map(|j| j.join().expect("client")).collect()
+        joins
+            .into_iter()
+            .map(|j| j.join().expect("client"))
+            .collect()
     });
     assert_eq!(results.len(), 8, "every client got an HTTP response");
     let ok = results.iter().filter(|(s, _)| *s == 200).count();
@@ -256,8 +271,9 @@ fn run_until_stop_closure_drains_and_returns() {
     let addr = server.local_addr().expect("addr");
     let stopped = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
     let flag = std::sync::Arc::clone(&stopped);
-    let join =
-        std::thread::spawn(move || server.run_until(|| flag.load(std::sync::atomic::Ordering::SeqCst)));
+    let join = std::thread::spawn(move || {
+        server.run_until(|| flag.load(std::sync::atomic::Ordering::SeqCst))
+    });
     let (status, _) = send(addr, "POST", "/v1/exact", "{}");
     assert_eq!(status, 200);
     stopped.store(true, std::sync::atomic::Ordering::SeqCst);
@@ -313,7 +329,12 @@ fn wildcard_bound_server_wakes_through_loopback() {
     let port = server.local_addr().expect("addr").port();
     let handle = server.handle();
     let join = std::thread::spawn(move || server.run());
-    let (status, _) = send(SocketAddr::from(([127, 0, 0, 1], port)), "GET", "/metrics", "");
+    let (status, _) = send(
+        SocketAddr::from(([127, 0, 0, 1], port)),
+        "GET",
+        "/metrics",
+        "",
+    );
     assert_eq!(status, 200);
     let since = Instant::now();
     handle.shutdown();

@@ -164,7 +164,10 @@ fn oversized_requests_get_413() {
     let payload = b"POST /v1/bandwidth HTTP/1.1\r\nHost: x\r\nContent-Length: 1000000\r\n\r\n";
     let response = exchange(addr, payload);
     assert!(response.starts_with("HTTP/1.1 413 "), "{response}");
-    assert!(response.contains("\"kind\":\"payload_too_large\""), "{response}");
+    assert!(
+        response.contains("\"kind\":\"payload_too_large\""),
+        "{response}"
+    );
     // Header block beyond the cap.
     let mut huge_head = b"GET /metrics HTTP/1.1\r\n".to_vec();
     for i in 0..200 {

@@ -125,7 +125,8 @@ impl LaneCollector {
         self.batch_sum += u64::from(served);
         self.batch_pos += 1;
         if self.batch_pos == self.batch_len {
-            self.batches.push(self.batch_sum as f64 / self.batch_len as f64);
+            self.batches
+                .push(self.batch_sum as f64 / self.batch_len as f64);
             self.batch_sum = 0;
             self.batch_pos = 0;
         }

@@ -75,8 +75,13 @@ impl IssueTable {
             // Composite weights: idle mass then per-memory request mass.
             // Rows are validated (finite, non-negative, positive sum) by
             // RequestMatrix, so normalizing here cannot divide by zero.
-            let weight =
-                |o: usize| -> f64 { if o == 0 { 1.0 - r } else { r * row[o - 1] / total } };
+            let weight = |o: usize| -> f64 {
+                if o == 0 {
+                    1.0 - r
+                } else {
+                    r * row[o - 1] / total
+                }
+            };
             build_alias_row(columns, weight, &mut cells);
         }
         Ok(Self { columns, cells })
@@ -166,11 +171,8 @@ mod tests {
 
     #[test]
     fn marginals_match_configuration() {
-        let matrix = RequestMatrix::from_rows(vec![
-            vec![0.5, 0.25, 0.25],
-            vec![0.1, 0.1, 0.8],
-        ])
-        .expect("valid matrix");
+        let matrix = RequestMatrix::from_rows(vec![vec![0.5, 0.25, 0.25], vec![0.1, 0.1, 0.8]])
+            .expect("valid matrix");
         let r = 0.7;
         let table = IssueTable::new(&matrix, r).expect("valid rate");
         let mut rng = StdRng::seed_from_u64(42);

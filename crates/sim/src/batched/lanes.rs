@@ -174,9 +174,7 @@ impl AliveCaches {
                 for (q, list) in self.group_alive.iter_mut().enumerate() {
                     debug_assert!(q < *groups);
                     list.clear();
-                    list.extend(
-                        (q * per_bus..(q + 1) * per_bus).filter(|&bus| mask.is_alive(bus)),
-                    );
+                    list.extend((q * per_bus..(q + 1) * per_bus).filter(|&bus| mask.is_alive(bus)));
                 }
             }
             SchemeData::KClasses { class_tops, .. } => {
@@ -311,8 +309,9 @@ pub fn run_batch(
 
     let mut mask = FaultMask::none(b);
     let mut caches = AliveCaches::new(net, &scheme, &mask);
-    let mut collectors: Vec<LaneCollector> =
-        (0..lanes).map(|_| LaneCollector::new(net, config)).collect();
+    let mut collectors: Vec<LaneCollector> = (0..lanes)
+        .map(|_| LaneCollector::new(net, config))
+        .collect();
     // Shared per-bus in-service counts — the fault schedule is
     // lane-uniform, so one tally serves every lane's report.
     let mut bus_alive = vec![0u64; b];
@@ -335,9 +334,9 @@ pub fn run_batch(
     // K classes: per-lane scratch, reused.
     let mut fy_list: Vec<u8> = Vec::with_capacity(m);
     let mut contenders: Vec<Vec<u8>> = match &scheme {
-        SchemeData::KClasses { class_masks, .. } => {
-            (0..b).map(|_| Vec::with_capacity(class_masks.len())).collect()
-        }
+        SchemeData::KClasses { class_masks, .. } => (0..b)
+            .map(|_| Vec::with_capacity(class_masks.len()))
+            .collect(),
         _ => Vec::new(),
     };
     // Per-cycle draw matrix, processor-major: `draw_buf[p·lanes + l]`.

@@ -553,14 +553,16 @@ impl Simulator {
                             .enumerate()
                             .filter(|(_, list)| !list.is_empty())
                             .map(|(memory, list)| (memory, list.len() as u64)),
-                        outcome.grants.iter().zip(&outcome.waits).map(
-                            |(grant, &wait)| TraceGrant {
+                        outcome
+                            .grants
+                            .iter()
+                            .zip(&outcome.waits)
+                            .map(|(grant, &wait)| TraceGrant {
                                 bus: grant.bus,
                                 memory: grant.memory,
                                 processor: grant.processor,
                                 wait,
-                            },
-                        ),
+                            }),
                     );
                 }
             }

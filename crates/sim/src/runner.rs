@@ -76,7 +76,15 @@ pub fn run_replications(
     config: &SimConfig,
     replications: usize,
 ) -> Result<ReplicationReport, SimError> {
-    run_replications_impl(net, matrix, r, config, replications, false, available_workers())
+    run_replications_impl(
+        net,
+        matrix,
+        r,
+        config,
+        replications,
+        false,
+        available_workers(),
+    )
 }
 
 /// Like [`run_replications`] with an explicit worker count — the knob
@@ -113,7 +121,15 @@ pub fn run_replications_scalar(
     config: &SimConfig,
     replications: usize,
 ) -> Result<ReplicationReport, SimError> {
-    run_replications_impl(net, matrix, r, config, replications, true, available_workers())
+    run_replications_impl(
+        net,
+        matrix,
+        r,
+        config,
+        replications,
+        true,
+        available_workers(),
+    )
 }
 
 /// Scalar engine with an explicit worker count — the baseline side of the
@@ -151,9 +167,7 @@ fn run_replications_impl(
         // Chunk the seed range so every worker has work while each chunk
         // still packs as many lanes as possible (chunk geometry cannot
         // change results: lanes are independent).
-        let per_chunk = replications
-            .div_ceil(workers)
-            .clamp(1, batched::MAX_LANES);
+        let per_chunk = replications.div_ceil(workers).clamp(1, batched::MAX_LANES);
         let chunks: Vec<(usize, usize)> = (0..replications)
             .step_by(per_chunk)
             .map(|base| (base, per_chunk.min(replications - base)))
@@ -291,14 +305,9 @@ mod tests {
         assert_eq!(wide.engine, "batched");
         // Chunk geometry must not leak into per-replication results: any
         // single replication re-run alone reproduces its slot exactly.
-        let solo = crate::batched::run_batch(
-            &net,
-            &matrix,
-            0.8,
-            &config,
-            &[config.seed.wrapping_add(67)],
-        )
-        .unwrap();
+        let solo =
+            crate::batched::run_batch(&net, &matrix, 0.8, &config, &[config.seed.wrapping_add(67)])
+                .unwrap();
         assert_eq!(wide.reports[67], solo[0]);
     }
 

@@ -168,10 +168,7 @@ fn randomized_configurations_match_reference() {
             }
             2 => {
                 // groups must divide both M and B.
-                let g = *[1usize, 2, 4]
-                    .iter()
-                    .rfind(|&&g| m % g == 0)
-                    .unwrap();
+                let g = *[1usize, 2, 4].iter().rfind(|&&g| m % g == 0).unwrap();
                 (ConnectionScheme::PartialGroups { groups: g }, g)
             }
             3 => {
@@ -253,7 +250,10 @@ fn batched_agrees_with_scalar_engine_statistically() {
         (batched_mean - scalar_mean).abs() < 0.05,
         "batched {batched_mean} vs scalar {scalar_mean}"
     );
-    assert!((batched_mean - 3.99).abs() < 0.05, "Table II: {batched_mean}");
+    assert!(
+        (batched_mean - 3.99).abs() < 0.05,
+        "Table II: {batched_mean}"
+    );
 }
 
 /// Lane independence: a lane's report depends only on its seed, not on

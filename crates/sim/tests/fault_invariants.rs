@@ -35,7 +35,13 @@ fn skewed_matrix(n: usize, m: usize) -> RequestMatrix {
         .map(|p| {
             let favorite = p % m;
             (0..m)
-                .map(|j| if j == favorite { 0.5 } else { 0.5 / (m - 1) as f64 })
+                .map(|j| {
+                    if j == favorite {
+                        0.5
+                    } else {
+                        0.5 / (m - 1) as f64
+                    }
+                })
                 .collect()
         })
         .collect();

@@ -300,7 +300,11 @@ fn analyzer_ranks_the_known_bottleneck_bus() {
     let mut reader = TraceReader::new(bytes.as_slice()).unwrap();
     let analysis = analyze(&mut reader).unwrap();
 
-    assert_eq!(analysis.bottlenecks.first(), Some(&0), "bus 0 is overloaded");
+    assert_eq!(
+        analysis.bottlenecks.first(),
+        Some(&0),
+        "bus 0 is overloaded"
+    );
     assert!(
         analysis.buses[0].pressure > analysis.buses[1].pressure,
         "pressure separates the buses: {:?}",

@@ -310,13 +310,8 @@ mod tests {
     use mbus_topology::BusNetwork;
 
     fn sample_trace() -> Vec<u8> {
-        let net = BusNetwork::new(
-            4,
-            4,
-            2,
-            ConnectionScheme::balanced_single(4, 2).unwrap(),
-        )
-        .unwrap();
+        let net =
+            BusNetwork::new(4, 4, 2, ConnectionScheme::balanced_single(4, 2).unwrap()).unwrap();
         let mut writer = TraceWriter::new(Vec::new(), &net, true);
         writer.record_cycle(
             3,
