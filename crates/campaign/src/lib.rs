@@ -14,6 +14,13 @@
 //! one mask at a time keep the expensive ones from piling up on one
 //! thread.
 //!
+//! Each run builds one [`DegradedModel`] — validation, the per-memory
+//! request probabilities and every mask-independent distribution, computed
+//! once — and every worker evaluates its masks through it by shared
+//! reference, so a mask costs only its own mask-dependent work. The
+//! results are bit-identical to calling [`degraded_analyze`] per mask,
+//! which is the same model built for one mask.
+//!
 //! For bus-permutation-symmetric schemes (full, crossbar) every bus is
 //! interchangeable, so a degraded breakdown depends only on the failure
 //! *count*, not on which buses failed. With
@@ -49,7 +56,7 @@ pub use fabric::{
 };
 pub use render::{render_json, render_markdown};
 
-use mbus_analysis::degraded::{degraded_analyze, DegradedBreakdown};
+use mbus_analysis::degraded::{degraded_analyze, DegradedBreakdown, DegradedModel};
 use mbus_analysis::AnalysisError;
 use mbus_sim::{FaultEvent, FaultEventKind, FaultSchedule, SimConfig, SimError, Simulator};
 use mbus_stats::cache::MemoCache;
@@ -321,6 +328,9 @@ pub fn run_campaign(
         work.extend(masks.into_iter().map(|mask| (f, mask)));
     }
 
+    // Everything the mask cannot change is computed once and shared by
+    // reference with every worker.
+    let model = DegradedModel::new(net, matrix, r)?;
     let workers = if config.workers == 0 {
         available_workers()
     } else {
@@ -342,12 +352,12 @@ pub fn run_campaign(
                 let first: Vec<usize> = (0..f).collect();
                 FaultMask::with_failures(b, &first)
                     .map_err(AnalysisError::from)
-                    .and_then(|mask| degraded_analyze(net, matrix, r, &mask))
+                    .and_then(|mask| model.evaluate(&mask))
             });
             (*shared).clone()?
         } else {
             let mask = FaultMask::with_failures(b, &failed).map_err(AnalysisError::from)?;
-            degraded_analyze(net, matrix, r, &mask)?
+            model.evaluate(&mask)?
         };
         Ok((f, failed, breakdown))
     });
@@ -407,7 +417,7 @@ pub fn run_campaign(
         for f in 0..=max_failures {
             let failed: Vec<usize> = (0..f).collect();
             let mask = FaultMask::with_failures(b, &failed).map_err(AnalysisError::from)?;
-            let breakdown = degraded_analyze(net, matrix, r, &mask)?;
+            let breakdown = model.evaluate(&mask)?;
             let Some(per_class) = breakdown.per_class_bandwidth else {
                 return Err(CampaignError::Internal {
                     reason: "K-class analysis reported no per-class bandwidth".to_owned(),
@@ -577,6 +587,31 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn kclass_report_is_the_same_on_one_and_two_workers() {
+        // Every worker evaluates masks through the one shared model with
+        // its own per-thread scratch; the report must not depend on which
+        // thread took which mask. Unequal classes, with some levels
+        // sampled, so both mask sources are covered.
+        let n = 16;
+        let b = 10;
+        let scheme = ConnectionScheme::KClasses {
+            class_sizes: vec![1, 4, 2, 6, 3],
+        };
+        let net = BusNetwork::new(n, n, b, scheme).unwrap();
+        let matrix = hier_matrix(n);
+        let config = |workers| CampaignConfig {
+            workers,
+            exhaustive_limit: 200,
+            samples: 64,
+            ..CampaignConfig::default()
+        };
+        let serial = run_campaign(&net, &matrix, 0.85, &config(1)).unwrap();
+        let parallel = run_campaign(&net, &matrix, 0.85, &config(2)).unwrap();
+        assert!(serial.levels.iter().any(|level| !level.exhaustive));
+        assert_eq!(serial, parallel);
     }
 
     #[test]

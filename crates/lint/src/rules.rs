@@ -319,11 +319,13 @@ const CHECKER_FNS: [&str; 5] = [
     "checked_probability",
 ];
 
-/// Whether a function name marks a bandwidth/probability-producing formula.
+/// Whether a function name marks a bandwidth/probability-producing formula
+/// (`evaluate` covers prepared models such as `DegradedModel::evaluate`).
 fn is_formula_name(name: &str) -> bool {
     name.contains("bandwidth")
         || name.contains("probability")
         || name.contains("analyze")
+        || name.contains("evaluate")
         || name.contains("pmf")
         || name.contains("steady_state")
 }
@@ -708,12 +710,22 @@ pub fn memory_bandwidth(x: f64) -> f64 {
 pub fn memory_bandwidth(x: f64) -> f64 { full_bandwidth(x) }
 ";
         assert!(run("analysis", "crates/analysis/src/bandwidth.rs", delegated).is_empty());
+        // A prepared model's evaluator counts as a formula delegate.
+        let prepared = "\
+pub fn degraded_analyze(x: f64) -> f64 { Model::new(x).evaluate(x) }
+";
+        assert!(run("analysis", "crates/analysis/src/degraded.rs", prepared).is_empty());
     }
 
     #[test]
     fn invariant_wiring_flags_unchecked_formula_fns() {
         let src = "pub fn memory_bandwidth(x: f64) -> f64 { x * 2.0 }\n";
         let hits = run("analysis", "crates/analysis/src/bandwidth.rs", src);
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].rule, Rule::InvariantWiring);
+        // An evaluator is a formula fn too and must check its result.
+        let evaluator = "pub fn evaluate(&self, x: f64) -> f64 { x * 2.0 }\n";
+        let hits = run("analysis", "crates/analysis/src/degraded.rs", evaluator);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].rule, Rule::InvariantWiring);
         // Same file, non-formula name: exempt.

@@ -253,7 +253,9 @@ impl<'a> DegradedView<'a> {
         if self.network.kind() == SchemeKind::Crossbar {
             return true;
         }
-        self.alive_buses_of_memory(memory) > 0
+        self.network
+            .buses_of_memory(memory)
+            .any(|bus| self.mask.is_alive(bus))
     }
 
     /// Number of memories still reachable.
