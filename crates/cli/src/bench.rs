@@ -1,6 +1,6 @@
 //! `mbus bench` — the workspace throughput harness.
 //!
-//! Five measurements, reported to stdout and written as JSON:
+//! Six measurements, reported to stdout and written as JSON:
 //!
 //! 1. **Engine throughput**: simulated cycles/sec of the optimized
 //!    [`Simulator`] against the frozen pre-optimization
@@ -14,7 +14,15 @@
 //!    on a 64-point full-connection sweep at N = 64. On a single-core
 //!    machine the parallel run would just repeat the serial measurement, so
 //!    it is skipped and no speedup is reported.
-//! 3. **Replication scaling** (`--scaling` runs only this section):
+//! 3. **Campaign throughput**: fault-mask evaluations/sec of
+//!    [`run_campaign`] on two K-class networks (the `paper` benchmark's
+//!    16×16×8 and a 64×64×16 four-class network), serial vs all cores, with
+//!    the machine it ran on. The two reports must be equal.
+//!
+//!    The sweep and campaign legs take under a millisecond per call on small
+//!    shapes, so each of their timed samples repeats the call for at least
+//!    20 ms; otherwise thread start-up would be most of what they measure.
+//! 4. **Replication scaling** (`--scaling` runs only this section):
 //!    replications/sec of the batched SoA lane engine against the scalar
 //!    engine on a single worker — the per-replication amortization the
 //!    batching work targets — plus the batched engine's throughput at
@@ -23,13 +31,13 @@
 //!    sampling specs, so the gate is statistical agreement of the mean
 //!    bandwidth, plus bit-exact determinism of the batched reports
 //!    across worker counts.
-//! 4. **Fabric** (`--fabric` runs only this section): routed fabric
+//! 5. **Fabric** (`--fabric` runs only this section): routed fabric
 //!    simulator cycles/sec at tree depths 2 and 3 against the flat engine
 //!    on each fabric's flattened equivalent network, with the analytic
 //!    decomposition's bandwidth gap per depth; plus batched replications
 //!    under full vs aggregate-only collection (`CollectMode`) — the cost
 //!    of per-grant accounting when only scalar summaries are wanted.
-//! 5. **Exact engines** (`--exact` runs only this section): the
+//! 6. **Exact engines** (`--exact` runs only this section): the
 //!    subset-transform requested-set pmf against the retained
 //!    per-processor DP on a 256×16 hierarchical workload (identical
 //!    results, `O(G·2^M + 2^M·M)` vs `O(N·2^M·M)` work), and the lumped
@@ -49,29 +57,50 @@ use mbus_core::sim::runner::{run_replications_scalar_with_workers, run_replicati
 use mbus_core::stats::parallel::available_workers;
 use std::time::Instant;
 
-/// Best-of-`reps` wall times of `a` and `b`, interleaved (a, b, a, b, …) so
-/// background load on a shared machine hits both measurements alike instead
-/// of skewing whichever ran second.
-fn best_seconds_interleaved<A: FnMut(), B: FnMut()>(reps: usize, mut a: A, mut b: B) -> (f64, f64) {
+/// Shortest wall time of one timed sample of a sub-millisecond measurement
+/// (the sweep and campaign legs): long enough that thread start-up and
+/// timer resolution are noise next to the work.
+const MIN_SAMPLE_SECONDS: f64 = 0.02;
+
+/// Wall seconds per call of `f` over one sample, which calls `f` back to
+/// back until it has lasted at least `min_sample` seconds (once for 0).
+fn seconds_per_call<F: FnMut()>(min_sample: f64, f: &mut F) -> f64 {
+    let start = Instant::now();
+    let mut calls = 0u32;
+    loop {
+        f();
+        calls += 1;
+        let elapsed = start.elapsed().as_secs_f64();
+        if elapsed >= min_sample {
+            return elapsed / f64::from(calls);
+        }
+    }
+}
+
+/// Best-of-`reps` wall times per call of `a` and `b`, interleaved (a, b,
+/// a, b, …) so background load on a shared machine hits both measurements
+/// alike instead of skewing whichever ran second. Each sample lasts at
+/// least `min_sample` seconds.
+fn best_seconds_interleaved<A: FnMut(), B: FnMut()>(
+    reps: usize,
+    min_sample: f64,
+    mut a: A,
+    mut b: B,
+) -> (f64, f64) {
     let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        a();
-        best_a = best_a.min(start.elapsed().as_secs_f64());
-        let start = Instant::now();
-        b();
-        best_b = best_b.min(start.elapsed().as_secs_f64());
+        best_a = best_a.min(seconds_per_call(min_sample, &mut a));
+        best_b = best_b.min(seconds_per_call(min_sample, &mut b));
     }
     (best_a, best_b)
 }
 
-/// Best-of-`reps` wall time of a single measurement.
-fn best_seconds<F: FnMut()>(reps: usize, mut f: F) -> f64 {
+/// Best-of-`reps` wall time per call of a single measurement, each sample
+/// lasting at least `min_sample` seconds.
+fn best_seconds<F: FnMut()>(reps: usize, min_sample: f64, mut f: F) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64());
+        best = best.min(seconds_per_call(min_sample, &mut f));
     }
     best
 }
@@ -114,6 +143,7 @@ fn engine_benchmark(
 
     let (opt_secs, ref_secs) = best_seconds_interleaved(
         reps,
+        0.0,
         || {
             // lint:allow(no_panic, the same run succeeded in the divergence check above; timing closures must stay Result-free)
             optimized.run(&config).expect("checked above");
@@ -143,7 +173,9 @@ struct SweepResult {
 }
 
 /// Times a full-connection analytical bus sweep serially and — when more
-/// than one worker is available — in parallel.
+/// than one worker is available — in parallel. A whole sweep takes well
+/// under a millisecond, so each sample repeats it for at least
+/// [`MIN_SAMPLE_SECONDS`]; the two sides are compared once, up front.
 fn sweep_benchmark(n: usize, reps: usize) -> Result<SweepResult, String> {
     let matrix = paper_params::hierarchical(n)
         .map_err(|e| e.to_string())?
@@ -151,46 +183,166 @@ fn sweep_benchmark(n: usize, reps: usize) -> Result<SweepResult, String> {
     let bus_counts: Vec<usize> = (1..=n).collect();
     let factory = |_| Ok(ConnectionScheme::Full);
     let workers = available_workers();
+    let sweep = |workers| {
+        bus_sweep_with_workers(n, n, &bus_counts, &factory, &matrix, 1.0, workers)
+            .map_err(|e| e.to_string())
+    };
 
-    let serial = bus_sweep_with_workers(n, n, &bus_counts, &factory, &matrix, 1.0, 1)
-        .map_err(|e| e.to_string())?;
-
-    if workers <= 1 {
-        let serial_secs = best_seconds(reps, || {
+    let serial = sweep(1)?;
+    let timed = |workers| {
+        move || {
             // lint:allow(no_panic, the same sweep succeeded above; timing closures must stay Result-free)
-            bus_sweep_with_workers(n, n, &bus_counts, &factory, &matrix, 1.0, 1).unwrap();
-        });
+            sweep(workers).unwrap();
+        }
+    };
+    let points = bus_counts.len() as f64;
+    if workers <= 1 {
+        let serial_secs = best_seconds(reps, MIN_SAMPLE_SECONDS, timed(1));
         return Ok(SweepResult {
             points: bus_counts.len(),
             workers,
-            serial_pps: bus_counts.len() as f64 / serial_secs,
+            serial_pps: points / serial_secs,
             parallel_pps: None,
         });
     }
 
-    let parallel = bus_sweep_with_workers(n, n, &bus_counts, &factory, &matrix, 1.0, workers)
-        .map_err(|e| e.to_string())?;
-    if serial != parallel {
+    if serial != sweep(workers)? {
         return Err("serial and parallel sweeps diverged — benchmark void".into());
     }
-
-    let (serial_secs, parallel_secs) = best_seconds_interleaved(
-        reps,
-        || {
-            // lint:allow(no_panic, the same sweep succeeded in the divergence check above; timing closures must stay Result-free)
-            bus_sweep_with_workers(n, n, &bus_counts, &factory, &matrix, 1.0, 1).unwrap();
-        },
-        || {
-            // lint:allow(no_panic, the same sweep succeeded in the divergence check above; timing closures must stay Result-free)
-            bus_sweep_with_workers(n, n, &bus_counts, &factory, &matrix, 1.0, workers).unwrap();
-        },
-    );
+    let (serial_secs, parallel_secs) =
+        best_seconds_interleaved(reps, MIN_SAMPLE_SECONDS, timed(1), timed(workers));
     Ok(SweepResult {
         points: bus_counts.len(),
         workers,
-        serial_pps: bus_counts.len() as f64 / serial_secs,
-        parallel_pps: Some(bus_counts.len() as f64 / parallel_secs),
+        serial_pps: points / serial_secs,
+        parallel_pps: Some(points / parallel_secs),
     })
+}
+
+/// One fault campaign of the `campaign` section: a K-class `n×n×b`
+/// network with `classes` classes at r = 1.
+struct CampaignCase {
+    n: usize,
+    b: usize,
+    classes: usize,
+    workload: &'static str,
+    /// Masks one campaign evaluates.
+    masks: usize,
+    serial_mps: f64,
+    /// Masks/sec at `available_workers()`; `None` on a single core.
+    parallel_mps: Option<f64>,
+}
+
+/// The machine a section ran on.
+struct Machine {
+    cores: usize,
+    cpu: String,
+    profile: &'static str,
+    revision: String,
+}
+
+impl Machine {
+    fn detect() -> Self {
+        let cpu = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|info| {
+                info.lines()
+                    .find(|line| line.starts_with("model name"))
+                    .and_then(|line| line.split(':').nth(1))
+                    .map(|model| model.trim().to_owned())
+            })
+            .unwrap_or_else(|| "unknown".to_owned());
+        let revision = std::process::Command::new("git")
+            .args(["rev-parse", "--short", "HEAD"])
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .and_then(|out| String::from_utf8(out.stdout).ok())
+            .map(|rev| rev.trim().to_owned())
+            .unwrap_or_else(|| "unknown".to_owned());
+        Self {
+            cores: available_workers(),
+            cpu,
+            profile: if cfg!(debug_assertions) {
+                "debug"
+            } else {
+                "release"
+            },
+            revision,
+        }
+    }
+}
+
+/// The `campaign` section's networks as `(n, b, classes, workload)`: the
+/// `paper` benchmark's K-class 16×16×8 under hierarchical traffic, and a
+/// 64×64×16 four-class network under uniform traffic (65 536 masks).
+const CAMPAIGN_SHAPES: [(usize, usize, usize, &str); 2] =
+    [(16, 8, 8, "hierarchical"), (64, 16, 4, "uniform")];
+
+/// Times K-class fault campaigns, which evaluate every mask (no symmetry
+/// collapse applies), serially and at `available_workers()`. The serial and
+/// parallel reports must be equal before either is timed.
+fn campaign_benchmark(
+    shapes: &[(usize, usize, usize, &'static str)],
+    reps: usize,
+) -> Result<Vec<CampaignCase>, String> {
+    let workers = available_workers();
+    let mut cases = Vec::with_capacity(shapes.len());
+    for &(n, b, classes, workload) in shapes {
+        let scheme = ConnectionScheme::uniform_classes(n, classes).map_err(|e| e.to_string())?;
+        let net = BusNetwork::new(n, n, b, scheme).map_err(|e| e.to_string())?;
+        let matrix = match workload {
+            "hierarchical" => paper_params::hierarchical(n)
+                .map_err(|e| e.to_string())?
+                .matrix(),
+            _ => UniformModel::new(n, n).map_err(|e| e.to_string())?.matrix(),
+        };
+        let config = |workers| CampaignConfig {
+            workers,
+            exhaustive_limit: 70_000,
+            ..CampaignConfig::default()
+        };
+        let (serial_config, parallel_config) = (config(1), config(workers));
+        let run = |config: &CampaignConfig| {
+            run_campaign(&net, &matrix, 1.0, config).map_err(|e| e.to_string())
+        };
+        let serial = run(&serial_config)?;
+        let masks: usize = serial.levels.iter().map(|l| l.combos_evaluated).sum();
+        let timed = |config| {
+            move || {
+                // lint:allow(no_panic, the same campaign succeeded above; timing closures must stay Result-free)
+                run(config).unwrap();
+            }
+        };
+        let (serial_mps, parallel_mps) = if workers > 1 {
+            if serial != run(&parallel_config)? {
+                return Err("serial and parallel campaigns diverged — benchmark void".into());
+            }
+            let (serial_secs, parallel_secs) = best_seconds_interleaved(
+                reps,
+                MIN_SAMPLE_SECONDS,
+                timed(&serial_config),
+                timed(&parallel_config),
+            );
+            (
+                masks as f64 / serial_secs,
+                Some(masks as f64 / parallel_secs),
+            )
+        } else {
+            let serial_secs = best_seconds(reps, MIN_SAMPLE_SECONDS, timed(&serial_config));
+            (masks as f64 / serial_secs, None)
+        };
+        cases.push(CampaignCase {
+            n,
+            b,
+            classes,
+            workload,
+            masks,
+            serial_mps,
+            parallel_mps,
+        });
+    }
+    Ok(cases)
 }
 
 struct ScalingResult {
@@ -255,6 +407,7 @@ fn scaling_benchmark(
 
     let (batched_secs, scalar_secs) = best_seconds_interleaved(
         reps,
+        0.0,
         || {
             run_replications_with_workers(&net, &matrix, 1.0, &config, replications, 1)
                 // lint:allow(no_panic, the same run succeeded in the agreement gate above; timing closures must stay Result-free)
@@ -285,7 +438,7 @@ fn scaling_benchmark(
                 "batched reports changed at {workers} workers — benchmark void"
             ));
         }
-        let secs = best_seconds(reps, || {
+        let secs = best_seconds(reps, 0.0, || {
             run_replications_with_workers(&net, &matrix, 1.0, &config, replications, workers)
                 // lint:allow(no_panic, the same run succeeded in the determinism gate above; timing closures must stay Result-free)
                 .expect("checked above");
@@ -361,6 +514,7 @@ fn fabric_benchmark(cycles: u64, seed: u64, reps: usize) -> Result<Vec<FabricBen
 
         let (fabric_secs, flat_secs) = best_seconds_interleaved(
             reps,
+            0.0,
             || {
                 // lint:allow(no_panic, the same run succeeded in the setup pass above; timing closures must stay Result-free)
                 fabric_sim.run(&config).expect("checked above");
@@ -427,6 +581,7 @@ fn collect_benchmark(
 
     let (full_secs, agg_secs) = best_seconds_interleaved(
         reps,
+        0.0,
         || {
             run_replications_with_workers(&net, &matrix, 1.0, &full_config, replications, 1)
                 // lint:allow(no_panic, the same run succeeded in the agreement gate above; timing closures must stay Result-free)
@@ -501,6 +656,7 @@ fn exact_benchmark(reps: usize) -> Result<ExactResult, String> {
     // cache cannot flatter the measurement.
     let (dp_seconds, transform_seconds) = best_seconds_interleaved(
         reps,
+        0.0,
         || {
             // lint:allow(no_panic, the same computation succeeded in the divergence check above; timing closures must stay Result-free)
             exact::enumerate::requested_set_pmf_dp(&matrix, 1.0).expect("checked above");
@@ -525,7 +681,7 @@ fn exact_benchmark(reps: usize) -> Result<ExactResult, String> {
     );
     let steady =
         exact::lumped::lumped_steady_state(&lu_net, &lu_matrix, 1.0).map_err(|e| e.to_string())?;
-    let lumped_seconds = best_seconds(reps, || {
+    let lumped_seconds = best_seconds(reps, 0.0, || {
         // lint:allow(no_panic, the same chain solved successfully above; timing closures must stay Result-free)
         exact::lumped::lumped_steady_state(&lu_net, &lu_matrix, 1.0).expect("solved above");
     });
@@ -584,6 +740,47 @@ fn sweep_json(sweep_n: usize, sweep: &SweepResult) -> String {
         points = sweep.points,
         workers = sweep.workers,
         spps = sweep.serial_pps,
+    )
+}
+
+/// The `"campaign"` JSON section, stamped with the machine it ran on. With
+/// one worker the parallel rate and the speedup are omitted.
+fn campaign_json(machine: &Machine, cases: &[CampaignCase]) -> String {
+    let cases = cases
+        .iter()
+        .map(|case| {
+            let parallel = match case.parallel_mps {
+                Some(pmps) => format!(
+                    ", \"workers\": {workers}, \"parallel_masks_per_sec\": {pmps:.1}, \
+                     \"speedup\": {speedup:.3}",
+                    workers = machine.cores,
+                    speedup = pmps / case.serial_mps,
+                ),
+                None => String::new(),
+            };
+            format!(
+                "      {{ \"scheme\": \"kclass\", \"n\": {n}, \"m\": {n}, \"b\": {b}, \
+                 \"classes\": {classes}, \"workload\": \"{workload}\", \"rate\": 1.0, \
+                 \"masks\": {masks}, \"serial_masks_per_sec\": {smps:.1}{parallel} }}",
+                n = case.n,
+                b = case.b,
+                classes = case.classes,
+                workload = case.workload,
+                masks = case.masks,
+                smps = case.serial_mps,
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(",\n");
+    let quoted = |text: &str| text.replace(['"', '\\'], "'");
+    format!(
+        "  \"campaign\": {{\n    \"machine\": {{ \"cores\": {cores}, \"cpu\": \"{cpu}\", \
+         \"profile\": \"{profile}\", \"revision\": \"{revision}\" }},\n    \
+         \"min_sample_seconds\": {MIN_SAMPLE_SECONDS},\n    \"cases\": [\n{cases}\n    ]\n  }}",
+        cores = machine.cores,
+        cpu = quoted(&machine.cpu),
+        profile = machine.profile,
+        revision = quoted(&machine.revision),
     )
 }
 
@@ -753,6 +950,33 @@ pub fn bench(args: &Args) -> Result<(), String> {
             ),
         }
         sections.push(sweep_json(sweep_n, &sweep));
+
+        println!("\ncampaign: every-mask K-class fault campaigns, serial vs all workers");
+        let campaigns = campaign_benchmark(&CAMPAIGN_SHAPES, reps)?;
+        for case in &campaigns {
+            println!(
+                "  kclass {n}x{n}x{b}, K = {k}, {w}, r = 1.0: {masks} masks",
+                n = case.n,
+                b = case.b,
+                k = case.classes,
+                w = case.workload,
+                masks = case.masks
+            );
+            match case.parallel_mps {
+                Some(pmps) => println!(
+                    "    serial:    {:>12.0} masks/sec\n    parallel:  {:>12.0} masks/sec ({} workers, {:.2}x)",
+                    case.serial_mps,
+                    pmps,
+                    available_workers(),
+                    pmps / case.serial_mps
+                ),
+                None => println!(
+                    "    serial:    {:>12.0} masks/sec\n    parallel:  skipped (1 worker detected)",
+                    case.serial_mps
+                ),
+            }
+        }
+        sections.push(campaign_json(&Machine::detect(), &campaigns));
     }
 
     if fabric_only || (!exact_only && !scaling_only) {
@@ -882,6 +1106,61 @@ mod tests {
         } else {
             assert!(result.parallel_pps.is_none());
         }
+    }
+
+    #[test]
+    fn campaign_benchmark_runs_and_reports_agree() {
+        // Small shapes: the serial/parallel gate and the mask counts are
+        // the point, not the rates.
+        let cases =
+            campaign_benchmark(&[(8, 4, 4, "hierarchical"), (8, 4, 2, "uniform")], 1).unwrap();
+        assert_eq!(cases.len(), 2);
+        assert!(cases.iter().all(|case| case.masks == 16));
+        assert!(cases.iter().all(|case| case.serial_mps > 0.0));
+        let parallel_expected = available_workers() > 1;
+        assert!(cases
+            .iter()
+            .all(|case| case.parallel_mps.is_some() == parallel_expected));
+    }
+
+    #[test]
+    fn campaign_json_is_stamped_and_omits_a_single_worker_speedup() {
+        let machine = Machine {
+            cores: 2,
+            cpu: "Some \"quoted\" CPU".to_owned(),
+            profile: "release",
+            revision: "abc1234".to_owned(),
+        };
+        let case = |parallel_mps| CampaignCase {
+            n: 16,
+            b: 8,
+            classes: 8,
+            workload: "hierarchical",
+            masks: 256,
+            serial_mps: 400_000.0,
+            parallel_mps,
+        };
+        let json = render_json(&[campaign_json(
+            &machine,
+            &[case(Some(500_000.0)), case(None)],
+        )]);
+        assert!(json.contains("\"cores\": 2, \"cpu\": \"Some 'quoted' CPU\""));
+        assert!(json.contains("\"revision\": \"abc1234\""));
+        assert!(json.contains("\"serial_masks_per_sec\": 400000.0"));
+        assert!(json.contains("\"parallel_masks_per_sec\": 500000.0, \"speedup\": 1.250"));
+        assert_eq!(json.matches("speedup").count(), 1);
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
+    }
+
+    #[test]
+    fn short_calls_are_repeated_to_fill_a_sample() {
+        let mut calls = 0u32;
+        let per_call = seconds_per_call(0.005, &mut || calls += 1);
+        assert!(calls > 1, "a no-op call must be repeated");
+        assert!(per_call > 0.0 && per_call * f64::from(calls) >= 0.005);
+        let mut once = 0u32;
+        seconds_per_call(0.0, &mut || once += 1);
+        assert_eq!(once, 1, "no minimum means one call");
     }
 
     #[test]
