@@ -132,41 +132,3 @@ fn interleaved_kclass_models_of_different_widths_share_the_thread_scratch() {
         );
     }
 }
-
-#[test]
-fn shared_model_gives_the_same_bits_on_every_thread() {
-    let n = 16;
-    let matrix = hier_matrix(n);
-    let net = BusNetwork::new(
-        n,
-        n,
-        8,
-        ConnectionScheme::KClasses {
-            class_sizes: vec![2, 6, 1, 7],
-        },
-    )
-    .unwrap();
-    let model = DegradedModel::new(&net, &matrix, 1.0).unwrap();
-    let masks = shuffled_masks(8, 3);
-    let serial: Vec<DegradedBreakdown> = masks.iter().map(|m| model.evaluate(m).unwrap()).collect();
-    std::thread::scope(|scope| {
-        let halves = [&masks[..128], &masks[128..]];
-        let handles: Vec<_> = halves
-            .iter()
-            .map(|half| {
-                scope.spawn(|| {
-                    half.iter()
-                        .map(|m| model.evaluate(m).unwrap())
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        let threaded: Vec<DegradedBreakdown> = handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap())
-            .collect();
-        for ((mask, a), b) in masks.iter().zip(&serial).zip(&threaded) {
-            assert_same_bits(b, a, &format!("threaded {mask:?}"));
-        }
-    });
-}
